@@ -59,7 +59,7 @@ func main() {
 	optLevel := flag.Int("opt", 0, "static optimizer level for compiled plans (0=off, 1=rewrites, 2=+rescheduling)")
 	csv := flag.Bool("csv", false, "emit comma-separated values instead of aligned tables")
 	metrics := flag.String("metrics", "", "write a JSON metrics snapshot (cells, chip and plan-cache counters) to this file; - for stdout")
-	chaos := flag.Bool("chaos", false, "inject seeded faults and run every experiment through the resilient tile executor")
+	chaos := flag.Bool("chaos", false, "inject seeded faults and run every experiment with the tile executor's retries and watchdog enabled")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-schedule seed (same seed = same faults, any goroutine schedule)")
 	chaosRate := flag.Float64("chaos-rate", 0.05, "per-(tile,attempt) fault probability")
 	chaosKinds := flag.String("chaos-kinds", "transient,bitflip,droppedflag,stuckpipe", "comma-separated fault kinds to draw from")
@@ -232,7 +232,7 @@ func trendMain(args []string) int {
 }
 
 // printChaosSummary reports what the fault injector did and how the
-// resilient executor absorbed it, from the run's shared metrics registry.
+// tile executor absorbed it, from the run's shared metrics registry.
 func printChaosSummary(w *os.File, s *obs.Snapshot) {
 	fmt.Fprintln(w, "chaos summary")
 	for _, k := range faults.AllKinds() {

@@ -59,7 +59,7 @@ func main() {
 	cores := flag.Int("cores", 4, "AI cores in -spans chip mode")
 	batch := flag.Int("n", 1, "batch size in -spans chip mode")
 	channels := flag.Int("c", 64, "logical channels in -spans chip mode (c1 = ceil(c/16) tiles per image)")
-	chaos := flag.Bool("chaos", false, "with -spans: inject seeded faults and run the resilient executor, so the trace shows retry/degrade causality")
+	chaos := flag.Bool("chaos", false, "with -spans: inject seeded faults and enable the tile executor's retries, so the trace shows retry/degrade causality")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-schedule seed for -chaos")
 	chaosRate := flag.Float64("chaos-rate", 0.2, "per-(tile,attempt) fault probability for -chaos")
 	chaosDegrade := flag.Bool("chaos-degrade", true, "with -chaos: degrade exhausted tiles to the host golden model instead of failing the run")

@@ -58,7 +58,7 @@ type (
 	// compiled, cache hits and misses. Available per run via Stats.Plans
 	// and cumulatively via Device.PlanStats.
 	PlanCacheStats = ops.CacheStats
-	// Resilience configures the fault-tolerant tile executor (watchdog,
+	// Resilience configures the tile executor's fault tolerance (watchdog,
 	// retry/requeue, graceful degradation) via ChipConfig.Resilience.
 	Resilience = chip.Resilience
 	// DegradedTile reports one tile computed by the host-side golden

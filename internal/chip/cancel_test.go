@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,21 +40,38 @@ func cancelAfterSpans(tr *trace.Tracer, k int, cancel context.CancelFunc) (stop 
 	return func() { close(done) }
 }
 
-func TestCancelMidTileLegacySweep(t *testing.T) {
+// policies covers the two default sets the executor resolves: the zero
+// Resilience (one attempt, no watchdog) and Enabled with a watchdog.
+var policies = []struct {
+	name string
+	res  Resilience
+}{
+	{"zero", Resilience{}},
+	{"enabled", Resilience{Enabled: true, Watchdog: 400 * time.Millisecond}},
+}
+
+// isAborted reports whether err is the one error of a run its caller
+// cancelled: it must match both the context's error and the cores'
+// interruption.
+func isAborted(err error) bool {
+	return errors.Is(err, context.Canceled) && errors.Is(err, aicore.ErrInterrupted)
+}
+
+// cancelMidTileSweep cancels after every possible number of finished
+// tile spans: before the first tile, between every pair, and after the
+// last. Whatever the interleaving, the run must return exactly once with
+// either a complete bit-identical output or the abort error — and end
+// every span it started.
+func cancelMidTileSweep(t *testing.T, res Resilience) {
 	p, c1 := cancelLayer()
 	in := chaosInput(t, p, 1, c1)
 	want := ref.MaxPoolForward(in, p)
 
-	// Cancel after every possible number of finished tile spans: before
-	// the first tile, between every pair, and after the last. Whatever
-	// the interleaving, the run must return exactly once with either a
-	// complete bit-identical output or an interruption error — and end
-	// every span it started.
 	for k := 0; k <= c1+1; k++ {
 		tr := trace.New()
 		ctx, cancel := context.WithCancel(context.Background())
 		stop := cancelAfterSpans(tr, k, cancel)
-		c := New(Config{Cores: 2, Context: ctx, Trace: tr.Root()})
+		c := New(Config{Cores: 2, Context: ctx, Trace: tr.Root(), Resilience: res})
 		out, _, err := c.MaxPoolForward("im2col", in, p)
 		stop()
 		cancel()
@@ -62,7 +80,7 @@ func TestCancelMidTileLegacySweep(t *testing.T) {
 			if out == nil || !bytes.Equal(out.Data, want.Data) {
 				t.Fatalf("k=%d: clean return with wrong output", k)
 			}
-		case errors.Is(err, aicore.ErrInterrupted):
+		case isAborted(err):
 			if out != nil {
 				t.Fatalf("k=%d: error return carries an output", k)
 			}
@@ -75,41 +93,32 @@ func TestCancelMidTileLegacySweep(t *testing.T) {
 	}
 }
 
-func TestCancelMidTileResilientSweep(t *testing.T) {
-	p, c1 := cancelLayer()
-	in := chaosInput(t, p, 1, c1)
-	want := ref.MaxPoolForward(in, p)
+func TestCancelMidTileLegacySweep(t *testing.T)    { cancelMidTileSweep(t, policies[0].res) }
+func TestCancelMidTileResilientSweep(t *testing.T) { cancelMidTileSweep(t, policies[1].res) }
 
-	for k := 0; k <= c1+1; k++ {
-		tr := trace.New()
-		ctx, cancel := context.WithCancel(context.Background())
-		stop := cancelAfterSpans(tr, k, cancel)
-		c := New(Config{
-			Cores:      2,
-			Context:    ctx,
-			Trace:      tr.Root(),
-			Resilience: Resilience{Enabled: true, Watchdog: 400 * time.Millisecond},
-		})
-		out, _, err := c.MaxPoolForward("im2col", in, p)
-		stop()
-		cancel()
-		switch {
-		case err == nil:
-			if out == nil || !bytes.Equal(out.Data, want.Data) {
-				t.Fatalf("k=%d: clean return with wrong output", k)
-			}
-		case errors.Is(err, context.Canceled) || errors.Is(err, aicore.ErrInterrupted):
-			if out != nil {
-				t.Fatalf("k=%d: error return carries an output", k)
-			}
-		default:
-			t.Fatalf("k=%d: unexpected error %v", k, err)
-		}
-		if tr.Active() != 0 {
-			t.Fatalf("k=%d: span leak, Active = %d", k, tr.Active())
-		}
+// contextCancel: with Config.Context cancelled before the run, the
+// executor aborts instead of completing, reporting the abort once rather
+// than per tile.
+func contextCancel(t *testing.T, res Resilience) {
+	p, c1 := chaosLayer()
+	in := chaosInput(t, p, 1, c1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := New(Config{Cores: 2, Context: ctx, Resilience: res})
+	_, _, err := c.MaxPoolForward("im2col", in, p)
+	if err == nil {
+		t.Fatal("cancelled context, yet the run completed")
+	}
+	if !isAborted(err) {
+		t.Fatalf("err %v does not match both context.Canceled and aicore.ErrInterrupted", err)
+	}
+	if n := strings.Count(err.Error(), "run aborted"); n != 1 {
+		t.Fatalf("err %v reports the abort %d times, want once", err, n)
 	}
 }
+
+func TestContextCancelLegacy(t *testing.T)    { contextCancel(t, policies[0].res) }
+func TestContextCancelResilient(t *testing.T) { contextCancel(t, policies[1].res) }
 
 // countAttempt counts finished tile_exec spans carrying a given attempt
 // index.
@@ -129,7 +138,7 @@ func countAttempt(tr *trace.Tracer, attempt int) int {
 // TestCancelAtEveryAttemptIndex forces retries (injector rate 1, faults
 // on attempts 1 and 2, success on 3) and cancels while an attempt with
 // index j is the newest finished span, for every attempt index the
-// budget allows. The resilient executor must report exactly one terminal
+// budget allows. The executor must report exactly one terminal
 // outcome and end every span regardless of which retry wave the
 // cancellation lands in.
 func TestCancelAtEveryAttemptIndex(t *testing.T) {
@@ -177,7 +186,7 @@ func TestCancelAtEveryAttemptIndex(t *testing.T) {
 			if out == nil || !bytes.Equal(out.Data, want.Data) {
 				t.Fatalf("attempt=%d: clean return with wrong output", attempt)
 			}
-		case errors.Is(err, context.Canceled) || errors.Is(err, aicore.ErrInterrupted):
+		case isAborted(err):
 			if out != nil {
 				t.Fatalf("attempt=%d: error return carries an output", attempt)
 			}

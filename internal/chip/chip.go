@@ -4,21 +4,19 @@
 // "the outer loops are parallelized between the AI Cores"), each core
 // processing whole (H, W, C0) tiles; chip time is the maximum over cores.
 //
-// Each simulated core is independent, so host-side execution fans tiles
-// out across goroutines — one worker per simulated core. Kernels are
-// compiled once per shape through the chip's plan cache (ops.PlanCache)
-// before the fan-out; every core then replays the same immutable plan on
-// its own tiles, so host wall time no longer scales with re-compiling the
-// schedule per tile.
+// Each simulated core is independent, so the host runs tiles on a pool of
+// at most GOMAXPROCS workers, each driving one simulated core at a time
+// (executor.go). Kernels are compiled once per shape through the chip's
+// plan cache (ops.PlanCache) before any tile runs; every core then
+// replays the same immutable plan on its own tiles, so host wall time no
+// longer scales with re-compiling the schedule per tile.
 package chip
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"davinci/internal/aicore"
 	"davinci/internal/buffer"
@@ -75,17 +73,17 @@ type Config struct {
 	// a shared registry so one snapshot covers every device they build.
 	Metrics *obs.Registry
 	// Context, when non-nil, bounds every run: cancelling it interrupts
-	// all in-flight cores, and a tile failure cancels the remaining
-	// tiles instead of letting every core run to its own first failure.
+	// all in-flight cores and fails the run with an error matching both
+	// the context's error and aicore.ErrInterrupted.
 	Context context.Context
-	// Resilience configures the fault-tolerant tile executor (watchdog,
+	// Resilience configures the tile executor's fault tolerance (watchdog,
 	// retry/requeue, graceful degradation, fault injection). The zero
-	// value leaves the executor in its fail-fast mode.
+	// value runs each tile once and fails the run on the first failure.
 	Resilience Resilience
 	// Trace is the span context every run of this chip nests under: each
 	// entry point opens a chip_run span with a plan_lookup child (the
 	// plan cache annotates it hit/miss and hangs plan_compile under it on
-	// a miss), and the tile executors emit one tile_exec span per tile
+	// a miss), and the tile executor emits one tile_exec span per tile
 	// attempt, causally linked to the plan_lookup span. The zero value
 	// disables tracing at zero cost.
 	Trace trace.Ctx
@@ -104,8 +102,8 @@ type Chip struct {
 	spec    ops.Spec
 	plans   *ops.PlanCache
 	metrics *obs.Registry
-	// Per-tile instruments, registered once so the per-core goroutines in
-	// runTiles update them lock-free.
+	// Per-tile instruments, registered once so runTiles' host workers
+	// update them lock-free.
 	tiles        *obs.Counter
 	tileCycles   *obs.Histogram
 	tileInstrs   *obs.Counter
@@ -113,7 +111,7 @@ type Chip struct {
 	bytesOut     *obs.Counter
 	tileWall     *obs.Histogram
 	tileAttempts *obs.Histogram
-	// Resilience instruments (internal/chip/resilience.go).
+	// Resilience instruments (executor.go).
 	tileRetries   *obs.Counter
 	tileRequeues  *obs.Counter
 	tilesDegraded *obs.Counter
@@ -243,12 +241,12 @@ type Stats struct {
 	// plan-cache counters) at the end of the run.
 	Metrics *obs.Snapshot
 	// Degraded lists the tiles that fell back to the host-side golden
-	// model after exhausting their hardware retries (resilient executor
-	// with Degrade enabled), sorted by (N, C1). Empty on a clean run.
+	// model after exhausting their hardware retries (Resilience.Degrade),
+	// sorted by (N, C1). Empty on a clean run.
 	Degraded []DegradedTile
 	// TileTrace is tile (0, 0)'s captured pipe schedule when
-	// Config.CaptureTrace was set (the successful attempt's, under the
-	// resilient executor); nil otherwise.
+	// Config.CaptureTrace was set (the successful attempt's); nil
+	// otherwise.
 	TileTrace *aicore.Trace
 }
 
@@ -261,7 +259,6 @@ type tileResult struct {
 	n, c1 int
 	outs  []*tensor.Tensor
 	stats *aicore.Stats
-	err   error
 }
 
 // tileRun executes one (n, c1) tile on a simulated core.
@@ -313,16 +310,20 @@ func (rs *runScope) plan(get func(trace.Ctx) (*ops.Plan, error)) (*ops.Plan, err
 	return pl, err
 }
 
-// tileSpan opens one tile attempt's tile_exec span, linked to the run's
-// plan_lookup span. Returns nil when tracing is off.
-func (rs *runScope) tileSpan(core, n, c1 int) *trace.ActiveSpan {
+// tileSpan opens the tile_exec span of attempt j on simulated core k,
+// linked to the run's plan_lookup span and, for a retry, to the failed
+// attempt it replaces. Returns nil when tracing is off.
+func (rs *runScope) tileSpan(k int, j tileAttempt) *trace.ActiveSpan {
 	if rs == nil {
 		return nil
 	}
-	s := rs.ctx().StartSpan("tile_exec",
-		"core", strconv.Itoa(core), "n", strconv.Itoa(n), "c1", strconv.Itoa(c1))
+	s := rs.ctx().StartSpan("tile_exec", "core", strconv.Itoa(k), "n", strconv.Itoa(j.n),
+		"c1", strconv.Itoa(j.c1), "attempt", strconv.Itoa(j.attempt))
 	if s != nil {
 		s.Link("plan", rs.planID)
+		if j.prevSpan != 0 {
+			s.Link("retry_of", j.prevSpan)
+		}
 	}
 	return s
 }
@@ -362,144 +363,6 @@ func (rs *runScope) end(st *Stats, err error) {
 		rs.span.SetAttr("outcome", "ok")
 	}
 	rs.span.End()
-}
-
-// tileJob is one (n, c1) grid cell awaiting execution.
-type tileJob struct{ n, c1 int }
-
-// tileGrid enumerates the (n, c1) grid in row-major order.
-func tileGrid(n, c1 int) []tileJob {
-	jobs := make([]tileJob, 0, n*c1)
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c1; ci++ {
-			jobs = append(jobs, tileJob{ni, ci})
-		}
-	}
-	return jobs
-}
-
-// runTiles fans the (n, c1) tile grid across simulated cores round-robin
-// and host goroutines, then aggregates stats: serial within a core,
-// parallel across cores. A core stops at its first failing tile; the
-// failures of all cores are joined into one error. With Config.Context
-// set, the first failure (or the caller's cancellation) interrupts every
-// in-flight core instead of letting each run to its own first failure.
-// With Resilience.Enabled, execution goes through the fault-tolerant
-// executor (resilience.go) instead: watchdog, retry/requeue, degradation.
-func (c *Chip) runTiles(rs *runScope, n, c1 int, run tileRun, fb tileFallback) ([][]tileResult, *Stats, error) {
-	jobs := tileGrid(n, c1)
-	if c.cfg.Resilience.Enabled {
-		return c.runTilesResilient(rs, jobs, run, fb)
-	}
-	perCore := make([][]tileJob, c.cfg.Cores)
-	for i, j := range jobs {
-		perCore[i%c.cfg.Cores] = append(perCore[i%c.cfg.Cores], j)
-	}
-
-	// With a caller context, one cancellation covers the caller's own
-	// deadline and run-internal fail-fast; without one, behavior stays
-	// the legacy run-to-first-failure-per-core.
-	var done <-chan struct{}
-	var cancel context.CancelFunc
-	if c.cfg.Context != nil {
-		var runCtx context.Context
-		runCtx, cancel = context.WithCancel(c.cfg.Context)
-		defer cancel()
-		done = runCtx.Done()
-	}
-
-	results := make([][]tileResult, c.cfg.Cores)
-	var wg sync.WaitGroup
-	for coreIdx := 0; coreIdx < c.cfg.Cores; coreIdx++ {
-		if len(perCore[coreIdx]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			core := c.newCore()
-			core.Cancel = done
-			// cycOff places this core's tile_exec spans on its own
-			// simulated-cycle axis: tiles run back to back on one core.
-			var cycOff int64
-			for _, j := range perCore[idx] {
-				var capture *aicore.Trace
-				if rs.capturing(j.n, j.c1) {
-					capture = &aicore.Trace{}
-					core.Trace = capture
-				}
-				ts := rs.tileSpan(idx, j.n, j.c1)
-				start := time.Now()
-				outs, st, err := run(core, j.n, j.c1)
-				wall := time.Since(start).Nanoseconds()
-				if capture != nil {
-					core.Trace = nil
-				}
-				results[idx] = append(results[idx], tileResult{n: j.n, c1: j.c1, outs: outs, stats: st, err: err})
-				if err != nil {
-					if ts != nil {
-						ts.SetAttr("outcome", "error")
-						ts.End()
-					}
-					if cancel != nil {
-						cancel()
-					}
-					return
-				}
-				if ts != nil {
-					ts.SetAttr("outcome", "ok")
-					ts.SetCycles(cycOff, cycOff+st.Cycles)
-					ts.End()
-				}
-				cycOff += st.Cycles
-				rs.stashTrace(capture)
-				// Lock-free atomic updates from every worker at once: the
-				// concurrent path the registry is built for.
-				c.tiles.Inc()
-				c.tileCycles.Observe(st.Cycles)
-				c.tileWall.Observe(wall)
-				c.tileAttempts.Observe(1)
-				c.tileInstrs.Add(st.Instrs)
-				c.bytesIn.Add(st.BytesIn)
-				c.bytesOut.Add(st.BytesOut)
-			}
-		}(coreIdx)
-	}
-	wg.Wait()
-
-	stats := &Stats{CoreCycles: make([]int64, c.cfg.Cores), Tiles: len(jobs)}
-	var errs, interrupted []error
-	for idx, rs := range results {
-		coreTotal := &aicore.Stats{}
-		for _, r := range rs {
-			if r.err != nil {
-				wrapped := fmt.Errorf("chip: core %d tile (%d,%d): %w", idx, r.n, r.c1, r.err)
-				if errors.Is(r.err, aicore.ErrInterrupted) {
-					// Secondary casualty of the fail-fast cancellation (or
-					// of the caller's context); keep it out of the join
-					// unless nothing more primary exists.
-					interrupted = append(interrupted, wrapped)
-				} else {
-					errs = append(errs, wrapped)
-				}
-				continue
-			}
-			coreTotal.AddSerial(r.stats)
-		}
-		stats.CoreCycles[idx] = coreTotal.Cycles
-		stats.Work.AddParallel(coreTotal)
-	}
-	if len(errs) > 0 {
-		return nil, nil, errors.Join(errs...)
-	}
-	if len(interrupted) > 0 {
-		return nil, nil, errors.Join(interrupted...)
-	}
-	stats.Cycles = stats.Work.Cycles
-	stats.Plans = c.plans.Stats()
-	stats.Perf = c.perfReports()
-	stats.Metrics = c.metrics.Snapshot()
-	return results, stats, nil
 }
 
 func checkFractalInput(in *tensor.Tensor) (n, c1 int, err error) {

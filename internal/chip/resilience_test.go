@@ -312,40 +312,6 @@ func TestPanicExhaustion(t *testing.T) {
 	}
 }
 
-// TestContextCancelLegacy: with Config.Context cancelled, the default
-// (non-resilient) path aborts in-flight cores instead of completing.
-func TestContextCancelLegacy(t *testing.T) {
-	p, c1 := chaosLayer()
-	in := chaosInput(t, p, 1, c1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := New(Config{Cores: 2, Context: ctx})
-	_, _, err := c.MaxPoolForward("im2col", in, p)
-	if err == nil {
-		t.Fatal("cancelled context, yet the run completed")
-	}
-	if !errors.Is(err, aicore.ErrInterrupted) {
-		t.Fatalf("err %v does not wrap aicore.ErrInterrupted", err)
-	}
-}
-
-// TestContextCancelResilient: the resilient executor honors the caller's
-// context too, reporting the abortion once rather than per tile.
-func TestContextCancelResilient(t *testing.T) {
-	p, c1 := chaosLayer()
-	in := chaosInput(t, p, 1, c1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := New(Config{Cores: 2, Context: ctx, Resilience: Resilience{Enabled: true, Watchdog: time.Second}})
-	_, _, err := c.MaxPoolForward("im2col", in, p)
-	if err == nil {
-		t.Fatal("cancelled context, yet the run completed")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err %v does not wrap context.Canceled", err)
-	}
-}
-
 // TestFailFastCancelsInFlight: with a context armed, a deterministic tile
 // failure cancels the other cores' remaining work (satellite: early abort
 // through runTiles).

@@ -95,10 +95,35 @@ func TestSpanConsistencyConcurrentReplays(t *testing.T) {
 	if misses != 1 {
 		t.Errorf("plan_lookup outcome=miss: got %d, want exactly 1 (singleflighted compile)", misses)
 	}
+	checkAttemptAccounting(t, tracer, c)
+}
+
+// checkAttemptAccounting asserts that every tile_exec span carries an
+// attempt attribute and that the chip observed exactly one
+// chip_tile_wall_nanos sample per tile_exec span.
+func checkAttemptAccounting(t *testing.T, tracer *trace.Tracer, c *Chip) {
+	t.Helper()
+	spans := 0
+	for _, s := range tracer.Finished() {
+		if s.Name != "tile_exec" {
+			continue
+		}
+		spans++
+		if _, ok := s.Attr("attempt"); !ok {
+			t.Fatalf("tile_exec %d carries no attempt attribute", s.ID)
+		}
+	}
+	h, ok := c.Metrics().Snapshot().HistogramValue("chip_tile_wall_nanos")
+	if !ok {
+		t.Fatal("chip_tile_wall_nanos missing from the snapshot")
+	}
+	if h.Count != int64(spans) {
+		t.Errorf("chip_tile_wall_nanos observed %d attempts, want one per tile_exec span (%d)", h.Count, spans)
+	}
 }
 
 // TestSpanConsistencyRetryStorm replays a seeded fault schedule through
-// concurrent resilient runs and checks the spans match the schedule
+// concurrent fault-tolerant runs and checks the spans match the schedule
 // exactly: faults.Injector.Decide is pure per (tile, attempt), so the
 // expected number of attempts, retry links and degrades is computable
 // up front and must hold for every one of the concurrent runs. Run
@@ -243,4 +268,5 @@ func TestSpanConsistencyRetryStorm(t *testing.T) {
 	if retryLinks != runs*expRetries {
 		t.Errorf("retry_of links: got %d, want %d", retryLinks, runs*expRetries)
 	}
+	checkAttemptAccounting(t, tracer, c)
 }

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"davinci/internal/aicore"
 	"davinci/internal/cce"
@@ -193,17 +194,26 @@ func (inj *Injector) Decide(t Tile, attempt int) Fault {
 	return Fault{Kind: inj.kinds[h2%uint64(len(inj.kinds))], r: splitmix64(h2)}
 }
 
-// Disarm removes any fault hooks from core.
+// armedOnProgram holds, per core armed with an instruction fault, the
+// OnProgram hook the fault's wrapper replaced, so Disarm can restore it.
+var armedOnProgram sync.Map // *aicore.Core -> func(*cce.Program)
+
+// Disarm removes any fault hooks from core, restoring the OnProgram hook
+// it had before Arm.
 func Disarm(core *aicore.Core) {
 	core.OnInstr = nil
 	core.ReplayWith = nil
 	core.HangOnDeadlock = false
+	if prev, ok := armedOnProgram.LoadAndDelete(core); ok {
+		core.OnProgram = prev.(func(*cce.Program))
+	}
 }
 
-// Arm installs f's hooks on core for the next single program run. KindNone
-// disarms. The injected-fault counters increment when a fault actually
-// fires (a DroppedFlag against a program with no cross-pipe dependencies,
-// for instance, has nothing to drop and runs clean).
+// Arm installs f's hooks on core for the next single program run,
+// replacing any armed earlier; KindNone only disarms. The injected-fault
+// counters increment when a fault actually fires (a DroppedFlag against a
+// program with no cross-pipe dependencies, for instance, has nothing to
+// drop and runs clean).
 func (inj *Injector) Arm(core *aicore.Core, f Fault) {
 	Disarm(core)
 	switch f.Kind {
@@ -223,6 +233,7 @@ func (inj *Injector) armInstrFault(core *aicore.Core, f Fault) {
 	var pipe isa.Pipe
 	fired := false
 	prevOnProgram := core.OnProgram
+	armedOnProgram.Store(core, prevOnProgram)
 	core.OnProgram = func(p *cce.Program) {
 		if prevOnProgram != nil {
 			prevOnProgram(p)

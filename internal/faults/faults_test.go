@@ -202,6 +202,41 @@ func TestArmDroppedFlagDeadlocks(t *testing.T) {
 	}
 }
 
+// TestArmDisarmRestoresHooks: Disarm undoes Arm for every kind, including
+// the OnProgram wrapper of the instruction faults, so a reused core does
+// not chain one stale wrapper per armed attempt.
+func TestArmDisarmRestoresHooks(t *testing.T) {
+	inj := New(Config{Seed: 6, Rate: 1}, obs.NewRegistry())
+	for _, k := range append([]Kind{KindNone}, AllKinds()...) {
+		core := aicore.New(buffer.Config{}, nil)
+		inj.Arm(core, Fault{Kind: k, r: 31})
+		Disarm(core)
+		if core.OnInstr != nil || core.ReplayWith != nil || core.OnProgram != nil || core.HangOnDeadlock {
+			t.Errorf("%v: hooks left after Disarm: OnInstr %v, ReplayWith %v, OnProgram %v, HangOnDeadlock %v",
+				k, core.OnInstr != nil, core.ReplayWith != nil, core.OnProgram != nil, core.HangOnDeadlock)
+		}
+	}
+
+	// A hook installed before Arm survives any number of arm/disarm rounds
+	// and is called exactly once per program, unwrapped.
+	core := aicore.New(buffer.Config{}, nil)
+	p, _ := addProgram(t, core, 64)
+	calls := 0
+	core.OnProgram = func(*cce.Program) { calls++ }
+	for round := 0; round < 3; round++ {
+		inj.Arm(core, Fault{Kind: KindTransient, r: 12345})
+		inj.Arm(core, Fault{Kind: KindStuckPipe, r: 777})
+		Disarm(core)
+	}
+	core.Mem.ResetLocal()
+	if _, err := core.Run(p); err != nil {
+		t.Fatalf("disarmed run: %v", err)
+	}
+	if calls != 1 {
+		t.Fatalf("pre-Arm OnProgram hook called %d times for one program, want 1", calls)
+	}
+}
+
 func TestIsInjected(t *testing.T) {
 	cases := []struct {
 		err  error

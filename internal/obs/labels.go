@@ -95,7 +95,7 @@ var CanonicalMetricNames = map[string]bool{
 	"chip_retry_backoff_cycles": true,
 	// Per-tile latency distributions (internal/chip): host wall nanoseconds
 	// per executed tile attempt, and attempts needed per finished tile (1 =
-	// clean first try; the resilient executor pushes the tail right).
+	// clean first try; retries push the tail right).
 	"chip_tile_wall_nanos": true,
 	"chip_tile_attempts":   true,
 	// Fault injection (internal/faults).
@@ -174,8 +174,8 @@ var CanonicalSpanNames = map[string]bool{
 	// child per frontier candidate confirmed on the cycle-accurate model.
 	"sched_search":    true,
 	"sched_candidate": true,
-	// One tile attempt on a core (internal/chip). Attrs core/n/c1/outcome
-	// (+attempt under the resilient executor); links "plan" to its
+	// One tile attempt on a core (internal/chip). Attrs
+	// core/n/c1/attempt/outcome; links "plan" to its
 	// plan_lookup span and "retry_of" to the failed attempt it replaces;
 	// carries the simulated-cycle window as its second time domain.
 	"tile_exec": true,

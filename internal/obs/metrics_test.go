@@ -111,7 +111,7 @@ func TestSnapshotDeterministic(t *testing.T) {
 
 // TestRegistryConcurrent hammers registration and updates from many
 // goroutines; run under -race this is the registry's thread-safety proof
-// (the chip updates these from one goroutine per simulated core).
+// (the chip updates these from every worker of its host pool).
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const workers, iters = 8, 200

@@ -3,7 +3,6 @@ package ops
 import (
 	"fmt"
 
-	"davinci/internal/aicore"
 	"davinci/internal/cce"
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
@@ -16,36 +15,6 @@ import (
 // division factor applied before saving the final output (§V-C).
 func avgScale(p isa.ConvParams) fp16.Float16 {
 	return fp16.FromFloat64(1 / float64(p.Kh*p.Kw))
-}
-
-// AvgPoolFwdStandard is the standard Avgpool forward: identical access
-// pattern to Maxpool but reducing with vadd instead of vmax, plus the
-// element-wise division epilogue (§V-C).
-//
-// Deprecated: compile once with PlanAvgPoolForward (or a PlanCache) and
-// replay the plan per tile; this wrapper compiles through SharedPlans and
-// runs in one call.
-func AvgPoolFwdStandard(core *aicore.Core, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.AvgPoolForward(trace.Ctx{}, "standard", SpecFor(core), p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, in)
-}
-
-// AvgPoolFwdIm2col is the Im2col-based Avgpool forward: the same schedule
-// as MaxPoolFwdIm2col with vadd reductions and the division epilogue ("the
-// access pattern stays the same and can benefit from using Im2Col", §V-C).
-//
-// Deprecated: compile once with PlanAvgPoolForward (or a PlanCache) and
-// replay the plan per tile; this wrapper compiles through SharedPlans and
-// runs in one call.
-func AvgPoolFwdIm2col(core *aicore.Core, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.AvgPoolForward(trace.Ctx{}, "im2col", SpecFor(core), p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, in)
 }
 
 // planAvgPoolBwdStandard and planAvgPoolBwdCol2im are the two Avgpool
@@ -205,17 +174,4 @@ func planAvgPoolBackward(spec Spec, p isa.ConvParams, useCol2im bool, sp Schedul
 		Mode: sp.Mode, Band: band, Buffers: buffers, RepeatChunk: resolvedRepeatChunk(sp),
 	}
 	return pl, nil
-}
-
-// AvgPoolBackward computes the Avgpool backward pass as a one-shot call.
-//
-// Deprecated: compile once with PlanAvgPoolBackward (or a PlanCache) and
-// replay the plan per tile; this wrapper compiles through SharedPlans and
-// runs in one call.
-func AvgPoolBackward(core *aicore.Core, grad *tensor.Tensor, p isa.ConvParams, useCol2im bool) (*tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.AvgPoolBackward(trace.Ctx{}, SpecFor(core), p, useCol2im)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, grad)
 }

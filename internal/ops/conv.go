@@ -3,11 +3,9 @@ package ops
 import (
 	"fmt"
 
-	"davinci/internal/aicore"
 	"davinci/internal/cce"
 	"davinci/internal/isa"
 	"davinci/internal/tensor"
-	"davinci/internal/trace"
 )
 
 // PackWeightsFractal converts a (Co, C, Kh, Kw) weight stack into the
@@ -194,22 +192,4 @@ func PlanConv2D(spec Spec, p isa.ConvParams, co, c int) (*Plan, error) {
 	}
 	pl.bind = bindConv(p, co, c)
 	return pl, nil
-}
-
-// Conv2DIm2colCube computes convolution on the Cube unit as a one-shot
-// call. in has shape (1, C1, Ih, Iw, C0); weights (Co, C, Kh, Kw). The
-// result has shape (1, Co1, Oh, Ow, C0).
-//
-// Deprecated: compile once with PlanConv2D (or a PlanCache) and replay the
-// plan per tile; this wrapper compiles through SharedPlans and runs in one
-// call.
-func Conv2DIm2colCube(core *aicore.Core, in, weights *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error) {
-	if len(weights.Shape) != 4 || weights.Shape[2] != p.Kh || weights.Shape[3] != p.Kw {
-		return nil, nil, fmt.Errorf("ops: conv wants (Co,C,%d,%d) weights, got %v", p.Kh, p.Kw, weights.Shape)
-	}
-	pl, err := SharedPlans.Conv2D(trace.Ctx{}, SpecFor(core), p, weights.Shape[0], weights.Shape[1])
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, in, weights)
 }

@@ -36,7 +36,7 @@ func TestConvBackwardDataMatchesReference(t *testing.T) {
 		weights := tensor.New(tc.co, tc.c, tc.p.Kh, tc.p.Kw)
 		weights.FillRandom(rng, 0.5)
 
-		got, st, err := Conv2DBackwardData(newTestCore(), grad, weights, tc.p, tc.c)
+		got, st, err := conv2DBackwardData(newTestCore(), grad, weights, tc.p, tc.c)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc.p, err)
 		}
@@ -67,7 +67,7 @@ func TestConvBackwardDataOneByOne(t *testing.T) {
 	for i := 0; i < weights.Len(); i++ {
 		weights.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(3))))
 	}
-	got, _, err := Conv2DBackwardData(newTestCore(), grad, weights, p, 16)
+	got, _, err := conv2DBackwardData(newTestCore(), grad, weights, p, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestConvBackwardAdjointness(t *testing.T) {
 	for i := 0; i < dy.Len(); i++ {
 		dy.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(3))))
 	}
-	y, _, err := Conv2DIm2colCube(newTestCore(), x, weights, p)
+	y, _, err := conv2D(newTestCore(), x, weights, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx, _, err := Conv2DBackwardData(newTestCore(), dy, weights, p, 16)
+	dx, _, err := conv2DBackwardData(newTestCore(), dy, weights, p, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +134,15 @@ func TestConvBackwardRejectsBadShapes(t *testing.T) {
 	core := newTestCore()
 	w := tensor.New(16, 16, 2, 2)
 	// Wrong gradient spatial extent.
-	if _, _, err := Conv2DBackwardData(core, tensor.New(1, 1, 3, 3, tensor.C0), w, p, 16); err == nil {
+	if _, _, err := conv2DBackwardData(core, tensor.New(1, 1, 3, 3, tensor.C0), w, p, 16); err == nil {
 		t.Error("bad gradient shape accepted")
 	}
 	// Co1 mismatch.
-	if _, _, err := Conv2DBackwardData(core, tensor.New(1, 2, 4, 4, tensor.C0), w, p, 16); err == nil {
+	if _, _, err := conv2DBackwardData(core, tensor.New(1, 2, 4, 4, tensor.C0), w, p, 16); err == nil {
 		t.Error("Co1 mismatch accepted")
 	}
 	// Channel count mismatch.
-	if _, _, err := Conv2DBackwardData(core, tensor.New(1, 1, 4, 4, tensor.C0), w, p, 32); err == nil {
+	if _, _, err := conv2DBackwardData(core, tensor.New(1, 1, 4, 4, tensor.C0), w, p, 32); err == nil {
 		t.Error("channel mismatch accepted")
 	}
 }

@@ -3,11 +3,9 @@ package ops
 import (
 	"fmt"
 
-	"davinci/internal/aicore"
 	"davinci/internal/cce"
 	"davinci/internal/isa"
 	"davinci/internal/tensor"
-	"davinci/internal/trace"
 )
 
 // PlanConv2DBackwardWeights compiles the weight gradient of a convolution
@@ -174,20 +172,4 @@ func PlanConv2DBackwardWeights(spec Spec, p isa.ConvParams, co, c int) (*Plan, e
 		return []*tensor.Tensor{dw}
 	}
 	return pl, nil
-}
-
-// Conv2DBackwardWeights computes the weight gradient of a convolution as a
-// one-shot call. grad has shape (1, Co1, Oh, Ow, C0); x has shape
-// (1, C1, Ih, Iw, C0); the result has the (Co, C, Kh, Kw) weight layout
-// for co x c logical channels.
-//
-// Deprecated: compile once with PlanConv2DBackwardWeights (or a PlanCache)
-// and replay the plan per tile; this wrapper compiles through SharedPlans
-// and runs in one call.
-func Conv2DBackwardWeights(core *aicore.Core, grad, x *tensor.Tensor, p isa.ConvParams, co, c int) (*tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.Conv2DBackwardWeights(trace.Ctx{}, SpecFor(core), p, co, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, grad, x)
 }

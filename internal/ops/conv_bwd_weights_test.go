@@ -29,7 +29,7 @@ func TestConvBackwardWeightsMatchesReference(t *testing.T) {
 		grad.FillRandom(rng, 0.5)
 		x.FillRandom(rng, 0.5)
 
-		got, st, err := Conv2DBackwardWeights(newTestCore(), grad, x, tc.p, tc.co, tc.c)
+		got, st, err := conv2DBackwardWeights(newTestCore(), grad, x, tc.p, tc.co, tc.c)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc.p, err)
 		}
@@ -60,7 +60,7 @@ func TestConvBackwardWeightsOneHot(t *testing.T) {
 	grad := tensor.New(1, 1, oh, ow, tensor.C0)
 	grad.Set(fp16.One, 0, 0, 1, 2, 5) // oc=5, patch (1,2)
 
-	dw, _, err := Conv2DBackwardWeights(newTestCore(), grad, x, p, 16, 16)
+	dw, _, err := conv2DBackwardWeights(newTestCore(), grad, x, p, 16, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +84,10 @@ func TestConvBackwardWeightsRejectsBadShapes(t *testing.T) {
 	p := isa.ConvParams{Ih: 8, Iw: 8, Kh: 2, Kw: 2, Sh: 2, Sw: 2}
 	core := newTestCore()
 	x := tensor.New(1, 1, 8, 8, tensor.C0)
-	if _, _, err := Conv2DBackwardWeights(core, tensor.New(1, 1, 3, 3, tensor.C0), x, p, 16, 16); err == nil {
+	if _, _, err := conv2DBackwardWeights(core, tensor.New(1, 1, 3, 3, tensor.C0), x, p, 16, 16); err == nil {
 		t.Error("bad gradient shape accepted")
 	}
-	if _, _, err := Conv2DBackwardWeights(core, tensor.New(1, 1, 4, 4, tensor.C0), tensor.New(1, 1, 7, 8, tensor.C0), p, 16, 16); err == nil {
+	if _, _, err := conv2DBackwardWeights(core, tensor.New(1, 1, 4, 4, tensor.C0), tensor.New(1, 1, 7, 8, tensor.C0), p, 16, 16); err == nil {
 		t.Error("bad input shape accepted")
 	}
 }

@@ -41,7 +41,7 @@ func TestConvMatchesReference(t *testing.T) {
 		weights := tensor.New(tc.co, tc.c, tc.p.Kh, tc.p.Kw)
 		weights.FillRandom(rng, 1)
 
-		got, st, err := Conv2DIm2colCube(newTestCore(), in, weights, tc.p)
+		got, st, err := conv2D(newTestCore(), in, weights, tc.p)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc.p, err)
 		}
@@ -68,7 +68,7 @@ func TestConvIdentity(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		w.Set(0x3c00, i, i, 0, 0) // 1.0
 	}
-	got, _, err := Conv2DIm2colCube(newTestCore(), in, w, p)
+	got, _, err := conv2D(newTestCore(), in, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestConvRejectsOversizedWeights(t *testing.T) {
 	p := isa.ConvParams{Ih: 8, Iw: 8, Kh: 3, Kw: 3, Sh: 1, Sw: 1}
 	in := tensor.New(1, 8, 8, 8, tensor.C0)
 	w := tensor.New(256, 128, 3, 3) // 72 K-fractals x 16 N-fractals > 64 KiB
-	if _, _, err := Conv2DIm2colCube(newTestCore(), in, w, p); err == nil {
+	if _, _, err := conv2D(newTestCore(), in, w, p); err == nil {
 		t.Error("oversized weights accepted")
 	}
 }

@@ -28,21 +28,21 @@ func TestHeadlineRatios147(t *testing.T) {
 		t.Logf("%s: measured %.2fx (paper %.1fx)", name, got, paper)
 	}
 
-	_, stFwdStd, err := MaxPoolFwdStandard(newTestCore(), in, p)
+	_, stFwdStd, err := runOne(newTestCore(), "maxpool_fwd/standard", p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stFwdIm, err := MaxPoolFwdIm2col(newTestCore(), in, p)
+	_, stFwdIm, err := runOne(newTestCore(), "maxpool_fwd/im2col", p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	within("forward (Fig. 7a)", ratio(stFwdStd.Cycles, stFwdIm.Cycles), 3.2, 1.2)
 
-	_, _, stArgStd, err := MaxPoolFwdArgmaxStandard(newTestCore(), in, p)
+	_, stArgStd, err := runKernel(newTestCore(), "maxpool_fwd_argmax/standard", p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, stArgIm, err := MaxPoolFwdArgmaxIm2col(newTestCore(), in, p)
+	_, stArgIm, err := runKernel(newTestCore(), "maxpool_fwd_argmax/im2col", p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestHeadlineRatios147(t *testing.T) {
 	oh, ow := p.OutDims()
 	grad := tensor.New(1, 1, oh, ow, tensor.C0)
 	grad.Fill(fp16.One)
-	_, stBwdStd, err := MaxPoolBwdStandard(newTestCore(), mask, grad, p)
+	_, stBwdStd, err := runOne(newTestCore(), "maxpool_bwd/standard", p, mask, grad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stBwdCi, err := MaxPoolBwdCol2im(newTestCore(), mask, grad, p)
+	_, stBwdCi, err := runOne(newTestCore(), "maxpool_bwd/col2im", p, mask, grad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestIm2colKernelsWithBandedL1(t *testing.T) {
 		in := randTile(int64(p.Ih+p.Iw), p)
 		wantMax := ref.MaxPoolForward(in, p)
 
-		got, st, err := MaxPoolFwdIm2col(tinyL1Core(), in, p)
+		got, st, err := runOne(tinyL1Core(), "maxpool_fwd/im2col", p, in)
 		if err != nil {
 			t.Fatalf("maxpool %+v: %v", p, err)
 		}
@@ -40,7 +40,7 @@ func TestIm2colKernelsWithBandedL1(t *testing.T) {
 			t.Errorf("maxpool %+v: expected multiple banded loads, got %d MTE2 instrs", p, st.PipeInstrs[isa.PipeMTE2])
 		}
 
-		gotAvg, _, err := AvgPoolFwdIm2col(tinyL1Core(), in, p)
+		gotAvg, _, err := runOne(tinyL1Core(), "avgpool_fwd/im2col", p, in)
 		if err != nil {
 			t.Fatalf("avgpool %+v: %v", p, err)
 		}
@@ -48,14 +48,14 @@ func TestIm2colKernelsWithBandedL1(t *testing.T) {
 			t.Errorf("avgpool %+v: banded-L1 output diverges", p)
 		}
 
-		outA, maskA, _, err := MaxPoolFwdArgmaxIm2col(tinyL1Core(), in, p)
+		outs, _, err := runKernel(tinyL1Core(), "maxpool_fwd_argmax/im2col", p, in)
 		if err != nil {
 			t.Fatalf("argmax %+v: %v", p, err)
 		}
-		if tensor.MaxAbsDiff(outA, wantMax) != 0 {
+		if tensor.MaxAbsDiff(outs[0], wantMax) != 0 {
 			t.Errorf("argmax %+v: banded-L1 output diverges", p)
 		}
-		if tensor.MaxAbsDiff(maskA, ref.ArgmaxMask(in, p)) != 0 {
+		if tensor.MaxAbsDiff(outs[1], ref.ArgmaxMask(in, p)) != 0 {
 			t.Errorf("argmax %+v: banded-L1 mask diverges", p)
 		}
 	}
@@ -74,7 +74,7 @@ func TestVGG224RunsWithDefaultL1(t *testing.T) {
 	for i := 0; i < in.Len(); i++ {
 		in.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(64))))
 	}
-	got, st, err := MaxPoolFwdIm2col(newTestCore(), in, p)
+	got, st, err := runOne(newTestCore(), "maxpool_fwd/im2col", p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestVGG224RunsWithDefaultL1(t *testing.T) {
 	}
 	// The standard kernel also runs; the k=s=(2,2) layer has no overlap, so
 	// im2col still wins but by less than the k3s2 layers.
-	_, stStd, err := MaxPoolFwdStandard(newTestCore(), in, p)
+	_, stStd, err := runOne(newTestCore(), "maxpool_fwd/standard", p, in)
 	if err != nil {
 		t.Fatal(err)
 	}

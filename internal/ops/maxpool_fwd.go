@@ -1,12 +1,10 @@
 package ops
 
 import (
-	"davinci/internal/aicore"
 	"davinci/internal/cce"
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/tensor"
-	"davinci/internal/trace"
 )
 
 // planMaxPoolFwdStandard compiles the standard TVM Maxpool lowering
@@ -129,30 +127,6 @@ func planDirectForward(name string, spec Spec, p isa.ConvParams, op isa.VecOp, i
 		Saturate: resolvedSaturate(saturated), Epilogue: sp.Epilogue,
 	}
 	return pl, nil
-}
-
-// MaxPoolFwdStandard is the standard TVM Maxpool lowering (Listing 1,
-// §V-A) as a one-shot call.
-//
-// Deprecated: compile once with PlanMaxPoolForward (or a PlanCache) and
-// replay the plan per tile; this wrapper compiles through SharedPlans and
-// runs in one call, so repeated shapes still amortize, but new code should
-// hold the Plan directly.
-func MaxPoolFwdStandard(core *aicore.Core, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.MaxPoolForward(trace.Ctx{}, "standard", SpecFor(core), p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, in)
-}
-
-// runSingle replays a single-output plan on core.
-func runSingle(pl *Plan, core *aicore.Core, inputs ...*tensor.Tensor) (*tensor.Tensor, *aicore.Stats, error) {
-	outs, st, err := pl.Run(core, inputs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return outs[0], st, nil
 }
 
 // emitReduceStrided is the 16-lane lowering: one reduction instruction per
@@ -414,20 +388,6 @@ func planIm2colForward(name string, spec Spec, p isa.ConvParams, op isa.VecOp, i
 	return plan, nil
 }
 
-// MaxPoolFwdIm2col is the accelerated forward implementation (Listing 2,
-// §V-A) as a one-shot call.
-//
-// Deprecated: compile once with PlanMaxPoolForward (or a PlanCache) and
-// replay the plan per tile; this wrapper compiles through SharedPlans and
-// runs in one call.
-func MaxPoolFwdIm2col(core *aicore.Core, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.MaxPoolForward(trace.Ctx{}, "im2col", SpecFor(core), p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, in)
-}
-
 // emitColReduce emits the kernel-position reduction over an im2col band:
 // one full-mask instruction per (kh, kw) slice with repetition covering
 // the whole band (the three innermost dimensions of input and output tiles
@@ -568,20 +528,6 @@ func planMaxPoolFwdExpansion(spec Spec, p isa.ConvParams, sp ScheduleParams) (*P
 	return pl, nil
 }
 
-// MaxPoolFwdExpansion is the "Maxpool with expansion" baseline of Fig. 8
-// as a one-shot call.
-//
-// Deprecated: compile once with PlanMaxPoolForward (or a PlanCache) and
-// replay the plan per tile; this wrapper compiles through SharedPlans and
-// runs in one call.
-func MaxPoolFwdExpansion(core *aicore.Core, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.MaxPoolForward(trace.Ctx{}, "expansion", SpecFor(core), p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, in)
-}
-
 func inUB0RowAddr(inUB int, pp isa.ConvParams, localOh, kh, kw int) int {
 	return inUB + ((localOh*pp.Sh+kh)*pp.Iw+kw)*Block
 }
@@ -694,18 +640,4 @@ func planMaxPoolFwdXYSplit(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Pla
 	pl.bind = bindPaddedTile(name, p)
 	pl.Sched = ScheduleParams{Mode: sp.Mode, Band: band, Buffers: buffers}
 	return pl, nil
-}
-
-// MaxPoolFwdXYSplit is the split-reduction baseline (Lai et al., §VI-B)
-// as a one-shot call.
-//
-// Deprecated: compile once with PlanMaxPoolForward (or a PlanCache) and
-// replay the plan per tile; this wrapper compiles through SharedPlans and
-// runs in one call.
-func MaxPoolFwdXYSplit(core *aicore.Core, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *aicore.Stats, error) {
-	pl, err := SharedPlans.MaxPoolForward(trace.Ctx{}, "xysplit", SpecFor(core), p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return runSingle(pl, core, in)
 }

@@ -43,10 +43,10 @@ func randTile(seed int64, p isa.ConvParams) *tensor.Tensor {
 func TestMaxForwardVariantsMatchReference(t *testing.T) {
 	for _, p := range paramGrid {
 		want := ref.MaxPoolForward(randTile(int64(p.Ih*100+p.Iw), p), p)
-		for name, fn := range MaxForward {
+		for _, name := range KernelVariants("maxpool_fwd") {
 			for _, core := range []*aicore.Core{newTestCore(), smallCore()} {
 				in := randTile(int64(p.Ih*100+p.Iw), p)
-				got, st, err := fn(core, in, p)
+				got, st, err := runOne(core, "maxpool_fwd/"+name, p, in)
 				if err != nil {
 					t.Fatalf("%s %+v: %v", name, p, err)
 				}
@@ -65,8 +65,8 @@ func TestAvgForwardVariantsMatchReference(t *testing.T) {
 	for _, p := range paramGrid {
 		in := randTile(int64(p.Ih*31+p.Iw), p)
 		want := ref.AvgPoolForward(in, p)
-		for name, fn := range AvgForward {
-			got, _, err := fn(newTestCore(), in.Clone(), p)
+		for _, name := range KernelVariants("avgpool_fwd") {
+			got, _, err := runOne(newTestCore(), "avgpool_fwd/"+name, p, in.Clone())
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, p, err)
 			}
@@ -84,13 +84,13 @@ func TestAvgForwardVariantsMatchReference(t *testing.T) {
 	}
 }
 
-// AvgPoolFwdCube is the §VIII future-work extension: avgpool as Cube-unit
+// The avgpool_fwd/cube variant is the §VIII future-work extension: avgpool as Cube-unit
 // convolution. It must use the Cube pipe and be numerically close to the
 // vector variants.
 func TestAvgPoolCubeUsesCubeUnit(t *testing.T) {
 	p := isa.ConvParams{Ih: 20, Iw: 20, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	in := randTile(9, p)
-	out, st, err := AvgPoolFwdCube(newTestCore(), in, p)
+	out, st, err := runOne(newTestCore(), "avgpool_fwd/cube", p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,16 +112,16 @@ func TestArgmaxVariantsMatchReference(t *testing.T) {
 		in := randTile(int64(p.Ih*7+p.Iw), p)
 		wantOut := ref.MaxPoolForward(in, p)
 		wantMask := ref.ArgmaxMask(in, p)
-		for name, fn := range MaxForwardArgmax {
+		for _, name := range KernelVariants("maxpool_fwd_argmax") {
 			for _, core := range []*aicore.Core{newTestCore(), smallCore()} {
-				out, mask, _, err := fn(core, in.Clone(), p)
+				outs, _, err := runKernel(core, "maxpool_fwd_argmax/"+name, p, in.Clone())
 				if err != nil {
 					t.Fatalf("%s %+v: %v", name, p, err)
 				}
-				if tensor.MaxAbsDiff(out, wantOut) != 0 {
+				if tensor.MaxAbsDiff(outs[0], wantOut) != 0 {
 					t.Errorf("%s %+v: output diverges", name, p)
 				}
-				if tensor.MaxAbsDiff(mask, wantMask) != 0 {
+				if tensor.MaxAbsDiff(outs[1], wantMask) != 0 {
 					t.Errorf("%s %+v: mask diverges", name, p)
 				}
 			}
@@ -140,9 +140,9 @@ func TestBackwardVariantsMatchReference(t *testing.T) {
 			grad.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(5))))
 		}
 		want := ref.MaxPoolBackward(mask, grad, p, p.Ih, p.Iw)
-		for name, fn := range MaxBackward {
+		for _, name := range KernelVariants("maxpool_bwd") {
 			for _, core := range []*aicore.Core{newTestCore(), smallCore()} {
-				got, st, err := fn(core, mask.Clone(), grad.Clone(), p)
+				got, st, err := runOne(core, "maxpool_bwd/"+name, p, mask.Clone(), grad.Clone())
 				if err != nil {
 					t.Fatalf("%s %+v: %v", name, p, err)
 				}
@@ -166,13 +166,13 @@ func TestAvgBackwardMatchesReference(t *testing.T) {
 			grad.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(8))))
 		}
 		want := ref.AvgPoolBackward(grad, p, p.Ih, p.Iw)
-		for _, useCol2im := range []bool{false, true} {
-			got, _, err := AvgPoolBackward(newTestCore(), grad.Clone(), p, useCol2im)
+		for _, name := range KernelVariants("avgpool_bwd") {
+			got, _, err := runOne(newTestCore(), "avgpool_bwd/"+name, p, grad.Clone())
 			if err != nil {
-				t.Fatalf("col2im=%v %+v: %v", useCol2im, p, err)
+				t.Fatalf("%s %+v: %v", name, p, err)
 			}
 			if tensor.MaxAbsDiff(got, want) != 0 {
-				t.Errorf("col2im=%v %+v: diverges from reference", useCol2im, p)
+				t.Errorf("%s %+v: diverges from reference", name, p)
 			}
 		}
 	}
@@ -186,8 +186,8 @@ func TestSpeedupShape(t *testing.T) {
 	in := randTile(1, p)
 
 	cycles := map[string]int64{}
-	for name, fn := range MaxForward {
-		_, st, err := fn(newTestCore(), in, p)
+	for _, name := range KernelVariants("maxpool_fwd") {
+		_, st, err := runOne(newTestCore(), "maxpool_fwd/"+name, p, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,11 +206,11 @@ func TestSpeedupShape(t *testing.T) {
 	// Stride (1, 1): the direct implementation wins (Fig. 8a).
 	p1 := isa.ConvParams{Ih: 41, Iw: 41, Kh: 3, Kw: 3, Sh: 1, Sw: 1}
 	in1 := randTile(2, p1)
-	_, stStd, err := MaxPoolFwdStandard(newTestCore(), in1, p1)
+	_, stStd, err := runOne(newTestCore(), "maxpool_fwd/standard", p1, in1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stIm, err := MaxPoolFwdIm2col(newTestCore(), in1, p1)
+	_, stIm, err := runOne(newTestCore(), "maxpool_fwd/im2col", p1, in1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +223,11 @@ func TestSpeedupShape(t *testing.T) {
 	oh, ow := p.OutDims()
 	grad := tensor.New(1, 1, oh, ow, tensor.C0)
 	grad.Fill(fp16.One)
-	_, stBwdStd, err := MaxPoolBwdStandard(newTestCore(), mask, grad, p)
+	_, stBwdStd, err := runOne(newTestCore(), "maxpool_bwd/standard", p, mask, grad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stBwdCi, err := MaxPoolBwdCol2im(newTestCore(), mask, grad, p)
+	_, stBwdCi, err := runOne(newTestCore(), "maxpool_bwd/col2im", p, mask, grad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,24 +240,24 @@ func TestRejectsBadInputs(t *testing.T) {
 	core := newTestCore()
 	p := isa.ConvParams{Ih: 8, Iw: 8, Kh: 2, Kw: 2, Sh: 2, Sw: 2}
 	// Wrong tile rank.
-	if _, _, err := MaxPoolFwdStandard(core, tensor.New(8, 8), p); err == nil {
+	if _, _, err := runOne(core, "maxpool_fwd/standard", p, tensor.New(8, 8)); err == nil {
 		t.Error("wrong rank accepted")
 	}
 	// Tile/params mismatch.
-	if _, _, err := MaxPoolFwdIm2col(core, tensor.New(1, 1, 9, 8, tensor.C0), p); err == nil {
+	if _, _, err := runOne(core, "maxpool_fwd/im2col", p, tensor.New(1, 1, 9, 8, tensor.C0)); err == nil {
 		t.Error("mismatched tile accepted")
 	}
 	// Invalid params.
 	bad := p
 	bad.Sh = 0
-	if _, _, err := MaxPoolFwdStandard(core, tensor.New(1, 1, 8, 8, tensor.C0), bad); err == nil {
+	if _, _, err := runOne(core, "maxpool_fwd/standard", bad, tensor.New(1, 1, 8, 8, tensor.C0)); err == nil {
 		t.Error("invalid params accepted")
 	}
 	// Backward shape checks.
-	if _, _, err := MaxPoolBwdCol2im(core, tensor.New(1, 1, 3, 3, 16, tensor.C0), tensor.New(1, 1, 4, 4, tensor.C0), p); err == nil {
+	if _, _, err := runOne(core, "maxpool_bwd/col2im", p, tensor.New(1, 1, 3, 3, 16, tensor.C0), tensor.New(1, 1, 4, 4, tensor.C0)); err == nil {
 		t.Error("bad mask shape accepted")
 	}
-	if _, _, err := MaxPoolBwdStandard(core, tensor.New(1, 1, 2, 2, 16, tensor.C0), tensor.New(1, 1, 4, 5, tensor.C0), p); err == nil {
+	if _, _, err := runOne(core, "maxpool_bwd/standard", p, tensor.New(1, 1, 2, 2, 16, tensor.C0), tensor.New(1, 1, 4, 5, tensor.C0)); err == nil {
 		t.Error("bad grad shape accepted")
 	}
 }
@@ -266,11 +266,11 @@ func TestRejectsBadInputs(t *testing.T) {
 func TestDeterministicTiming(t *testing.T) {
 	p := isa.ConvParams{Ih: 20, Iw: 20, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	in := randTile(5, p)
-	_, st1, err := MaxPoolFwdIm2col(newTestCore(), in, p)
+	_, st1, err := runOne(newTestCore(), "maxpool_fwd/im2col", p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st2, err := MaxPoolFwdIm2col(newTestCore(), in.Clone(), p)
+	_, st2, err := runOne(newTestCore(), "maxpool_fwd/im2col", p, in.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 	"davinci/internal/trace"
 )
 
-// planCases enumerates one cached-plan constructor per registry variant
+// planCases enumerates one cached-plan constructor per kernel variant
 // (every Maxpool forward, argmax and backward variant, every Avgpool
 // forward variant including the Cube mapping, both Avgpool backward
 // merges, and the three convolution kernels), with ready-to-run inputs.
@@ -98,7 +98,7 @@ func planCases(t *testing.T, p isa.ConvParams) []struct {
 	return cases
 }
 
-// TestPlanReplayConcurrent replays one cached plan per registry variant
+// TestPlanReplayConcurrent replays one cached plan per kernel variant
 // from many goroutines on separate cores (run under -race) and checks
 // every replay is bit-identical — outputs and cycle counts — to a cold
 // compile-and-run of the same kernel. It also pins the cache accounting:
