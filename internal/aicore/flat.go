@@ -20,6 +20,10 @@ const (
 	// fMove copies n bytes (memmove semantics, like the burst copies it
 	// replaces; only emitted when that matches the instruction order).
 	fMove
+	// fGather copies rows n-byte rows between distinct buffers, row r from
+	// src+r*sStride to dst+r*dStride, in row order: the equal-length moves
+	// of one instruction (Im2Col rows, strided bursts) in a single op.
+	fGather
 	// fZero clears n bytes.
 	fZero
 	// fVec applies an element-wise vector op to n contiguous lanes.
@@ -34,9 +38,13 @@ const (
 
 // flatOp is one primitive data operation of a flattened program. Byte
 // offsets are resolved; n counts lanes for fVec/fVecMasked/fAcc/fCvt and
-// bytes for fMove/fZero.
+// bytes for fMove/fZero/fGather (per row). Every plan is flattened on its
+// first memoized replay, so the struct is kept small: fInstr finds its
+// instruction through idx rather than holding it.
 type flatOp struct {
 	kind   flatKind
+	scalar fp16.Float16
+	msk16  uint16 // fVecMasked: the block's 16 mask bits
 	op     isa.VecOp
 	dBuf   isa.BufID
 	sBuf   isa.BufID
@@ -45,10 +53,10 @@ type flatOp struct {
 	src    int
 	src1   int
 	n      int
-	scalar fp16.Float16
-	msk16  uint16 // fVecMasked: the block's 16 mask bits
-	idx    int    // originating instruction index, for error context
-	instr  isa.Instr
+	// fGather: the row count and the per-row destination and source
+	// strides in bytes.
+	rows, dStride, sStride int
+	idx                    int // originating instruction index
 }
 
 // FlatProgram is a pre-flattened functional execution trace of a program:
@@ -89,14 +97,14 @@ func Flatten(prog *cce.Program) *FlatProgram {
 			// Functional no-ops: synchronization shapes the schedule, not
 			// the data, and the schedule is memoized elsewhere.
 		default:
-			fp.fallback(idx, in)
+			fp.fallback(idx)
 		}
 	}
 	return fp
 }
 
-func (fp *FlatProgram) fallback(idx int, in isa.Instr) {
-	fp.ops = append(fp.ops, flatOp{kind: fInstr, idx: idx, instr: in})
+func (fp *FlatProgram) fallback(idx int) {
+	fp.ops = append(fp.ops, flatOp{kind: fInstr, idx: idx})
 }
 
 // maskBlock extracts the 16 mask bits covering block b's lanes.
@@ -152,17 +160,34 @@ func (fp *FlatProgram) flattenVec(idx int, v *isa.VecInstr) {
 	}
 }
 
-// appendMove emits an n-byte copy, merging with a contiguous predecessor
-// only while the merged source and destination ranges stay disjoint — a
-// larger memmove must not observe bytes an earlier burst wrote.
+// appendMove emits an n-byte copy, merging it into its predecessor when
+// the merged op performs the same copies in the same order:
+//   - a contiguous move grows while the merged source and destination
+//     ranges stay disjoint — a larger memmove must not observe bytes an
+//     earlier burst wrote;
+//   - equal-length moves of one instruction between distinct buffers at
+//     constant source and destination strides fold into an fGather. Its
+//     first and last rows bound all the others, so it is bounds-checked
+//     once, before any row moves — like the interpreter's check of the
+//     whole instruction.
 func (fp *FlatProgram) appendMove(idx int, dBuf, sBuf isa.BufID, dst, src, n int) {
 	if ln := len(fp.ops); ln > 0 {
 		prev := &fp.ops[ln-1]
-		if prev.kind == fMove && prev.dBuf == dBuf && prev.sBuf == sBuf &&
-			prev.dst+prev.n == dst && prev.src+prev.n == src {
-			mn := prev.n + n
-			if dBuf != sBuf || prev.dst+mn <= prev.src || prev.src+mn <= prev.dst {
-				prev.n = mn
+		if prev.dBuf == dBuf && prev.sBuf == sBuf {
+			switch {
+			case prev.kind == fMove && prev.dst+prev.n == dst && prev.src+prev.n == src:
+				mn := prev.n + n
+				if dBuf != sBuf || prev.dst+mn <= prev.src || prev.src+mn <= prev.dst {
+					prev.n = mn
+					return
+				}
+			case prev.kind == fMove && prev.idx == idx && prev.n == n && dBuf != sBuf:
+				prev.kind, prev.rows = fGather, 2
+				prev.dStride, prev.sStride = dst-prev.dst, src-prev.src
+				return
+			case prev.kind == fGather && prev.idx == idx && prev.n == n &&
+				dst == prev.dst+prev.rows*prev.dStride && src == prev.src+prev.rows*prev.sStride:
+				prev.rows++
 				return
 			}
 		}
@@ -217,7 +242,7 @@ func (fp *FlatProgram) flattenIm2Col(idx int, im *isa.Im2ColInstr) {
 			}
 			if h < im.RowBase || h >= im.RowBase+rows {
 				fp.ops = fp.ops[:start]
-				fp.fallback(idx, im)
+				fp.fallback(idx)
 				return
 			}
 			srcOff := im.SrcAddr + ((c1*rows+h-im.RowBase)*im.P.Iw+w)*rowBytes
@@ -234,7 +259,7 @@ func (fp *FlatProgram) flattenIm2Col(idx int, im *isa.Im2ColInstr) {
 		}
 		if c1 >= im.C1Len && f != im.Repeat-1 {
 			fp.ops = fp.ops[:start]
-			fp.fallback(idx, im)
+			fp.fallback(idx)
 			return
 		}
 	}
@@ -275,7 +300,7 @@ func (fp *FlatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
 			}
 			if h < ci.RowBase || h >= ci.RowBase+rows {
 				fp.ops = fp.ops[:start]
-				fp.fallback(idx, ci)
+				fp.fallback(idx)
 				return
 			}
 			rowAddr := fracBase + row*rowBytes
@@ -299,7 +324,7 @@ func (c *Core) ExecFlat(fp *FlatProgram) error {
 		if c.interrupted() {
 			return fmt.Errorf("aicore: %s instr %d: %w", fp.prog.Name, op.idx, ErrInterrupted)
 		}
-		if err := c.execFlat(op); err != nil {
+		if err := c.execFlat(fp.prog, op); err != nil {
 			return fmt.Errorf("aicore: %s instr %d (%s): %w", fp.prog.Name, op.idx, fp.prog.Instrs[op.idx], err)
 		}
 	}
@@ -313,10 +338,33 @@ func flatBounds(off, n, size int) error {
 	return nil
 }
 
-func (c *Core) execFlat(op *flatOp) error {
+func (c *Core) execFlat(prog *cce.Program, op *flatOp) error {
 	switch op.kind {
 	case fInstr:
-		return c.exec(op.instr)
+		return c.exec(prog.Instrs[op.idx])
+	case fGather:
+		dst := c.Mem.Mem(op.dBuf)
+		src := c.Mem.Mem(op.sBuf)
+		// The rows lie on a line, so the first and last bound them all.
+		last := op.rows - 1
+		if err := flatBounds(op.dst, op.n, len(dst)); err != nil {
+			return err
+		}
+		if err := flatBounds(op.dst+last*op.dStride, op.n, len(dst)); err != nil {
+			return err
+		}
+		if err := flatBounds(op.src, op.n, len(src)); err != nil {
+			return err
+		}
+		if err := flatBounds(op.src+last*op.sStride, op.n, len(src)); err != nil {
+			return err
+		}
+		d, s := op.dst, op.src
+		for range op.rows {
+			copy(dst[d:d+op.n], src[s:s+op.n])
+			d += op.dStride
+			s += op.sStride
+		}
 	case fMove:
 		dst := c.Mem.Mem(op.dBuf)
 		src := c.Mem.Mem(op.sBuf)

@@ -15,6 +15,7 @@ package chip
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 
@@ -102,6 +103,9 @@ type Chip struct {
 	spec    ops.Spec
 	plans   *ops.PlanCache
 	metrics *obs.Registry
+	// cores is the free list of clean worker cores, shared by every view
+	// of the chip (WithContext, WithTrace).
+	cores *corePool
 	// Per-tile instruments, registered once so runTiles' host workers
 	// update them lock-free.
 	tiles        *obs.Counter
@@ -141,6 +145,7 @@ func New(cfg Config) *Chip {
 		spec:          ops.Spec{Buffers: cfg.Buffers, Strict: cfg.Strict, Opt: cfg.Opt, AutoSchedule: cfg.AutoSchedule},
 		plans:         plans,
 		metrics:       cfg.Metrics,
+		cores:         &corePool{},
 		tiles:         cfg.Metrics.Counter("chip_tiles"),
 		tileCycles:    cfg.Metrics.Histogram("chip_tile_cycles", nil),
 		tileInstrs:    cfg.Metrics.Counter("chip_tile_instrs"),
@@ -214,10 +219,50 @@ func (c *Chip) perfReports() []PlanPerf {
 	return reports
 }
 
-func (c *Chip) newCore() *aicore.Core {
+// corePool keeps the host cores that finished a run clean, so the next
+// run reuses them instead of allocating and zeroing ~2.7 MB of
+// scratch-pads and global memory per worker. It holds at most GOMAXPROCS
+// cores, the most one run's workers use. Reuse needs no reset: every
+// plan run resets the core to the plan's layout, and no plan reads
+// scratch-pad bytes it did not write (TestCoreReuseSafeForEveryKernel).
+type corePool struct {
+	mu   sync.Mutex
+	free []*aicore.Core
+}
+
+// getCore returns a core from the free list, or a new one.
+func (c *Chip) getCore() *aicore.Core {
+	p := c.cores
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		core := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return core
+	}
+	p.mu.Unlock()
 	core := aicore.New(c.cfg.Buffers, c.cfg.Cost)
 	core.Serialize = c.cfg.Serialize
 	return core
+}
+
+// putCore returns a clean core to the free list with its per-attempt
+// hooks, Cancel channel and Trace cleared, or drops it when the list is
+// full. Callers pass only cores whose last attempt succeeded; a failed
+// attempt may have left corrupted scratch-pads.
+func (c *Chip) putCore(core *aicore.Core) {
+	core.Trace = nil
+	core.Cancel = nil
+	core.OnProgram = nil
+	core.OnInstr = nil
+	core.ReplayWith = nil
+	core.HangOnDeadlock = false
+	p := c.cores
+	p.mu.Lock()
+	if len(p.free) < runtime.GOMAXPROCS(0) {
+		p.free = append(p.free, core)
+	}
+	p.mu.Unlock()
 }
 
 // Stats aggregates a chip-level run.

@@ -24,9 +24,10 @@ import (
 //     Watchdog of host wall time and converts the hang into a typed
 //     *TileError (ErrTileHang) naming the blocked pipe, the unsatisfied
 //     wait_flag when known, and the tail of the stall-attributed trace;
-//   - bounded retry on a FRESH core — a faulted core's scratch-pads may
-//     hold corrupted data, so retries never reuse the failing core's
-//     state — requeued onto a different healthy core when one exists;
+//   - bounded retry on a clean host core — a faulted core's scratch-pads
+//     may hold corrupted data, so it is dropped, never reused or returned
+//     to the chip's free list — requeued onto a different healthy
+//     simulated core when one exists;
 //   - per-core failure budgets: a core exceeding CoreFailLimit failed
 //     attempts is marked bad and excluded from further work;
 //   - optional graceful degradation: a tile that exhausts MaxAttempts
@@ -175,8 +176,9 @@ type executor struct {
 // attempts in order on its own cycle axis, so every cycle count is
 // independent of the host. The host runs a pool of
 // min(GOMAXPROCS, Cores, tiles) workers; a worker drives one simulated
-// core at a time and reuses one aicore.Core across clean attempts.
-// Failed attempts are classified, retried on a fresh core placed on the
+// core at a time and reuses one aicore.Core across clean attempts, taken
+// from and returned to the chip's free list.
+// Failed attempts are classified, retried on a clean core placed on the
 // least-loaded healthy core that has not failed the tile, and optionally
 // degraded to the golden model (see Resilience). The first fatal error,
 // or cancellation of Config.Context, interrupts every in-flight attempt.
@@ -249,16 +251,19 @@ func (c *Chip) runTiles(rs *runScope, n, c1 int, run tileRun, fb tileFallback) (
 
 // work is one host worker: it runs attempts until every tile is final or
 // the run went fatal, keeping one aicore.Core for as long as its attempts
-// succeed.
+// succeed, and hands a clean core back to the chip's free list at the end.
 func (e *executor) work() {
 	var core *aicore.Core
 	k := -1
 	for {
 		j, ok := e.next(&k)
 		if !ok {
-			return
+			break
 		}
 		core = e.attempt(core, k, j)
+	}
+	if core != nil {
+		e.chip.putCore(core)
 	}
 }
 
@@ -298,9 +303,9 @@ func (e *executor) next(k *int) (tileAttempt, bool) {
 
 // attempt runs j on simulated core k with the watchdog armed and (when
 // configured) a fault injected, then classifies the outcome. core is the
-// worker's host core (nil builds a fresh one); the result is the core to
-// use next: the same one after a clean attempt, nil after a failed one,
-// whose scratch-pads may hold corrupted data.
+// worker's host core (nil takes one from the chip's free list); the
+// result is the core to use next: the same one after a clean attempt, nil
+// after a failed one, whose scratch-pads may hold corrupted data.
 func (e *executor) attempt(core *aicore.Core, k int, j tileAttempt) *aicore.Core {
 	if e.ctx.Err() != nil {
 		// Already aborted: don't start an attempt that must not run.
@@ -309,7 +314,7 @@ func (e *executor) attempt(core *aicore.Core, k int, j tileAttempt) *aicore.Core
 	}
 	c := e.chip
 	if core == nil {
-		core = c.newCore()
+		core = c.getCore()
 	}
 	core.Trace = nil
 	capturing := e.rs.capturing(j.n, j.c1)

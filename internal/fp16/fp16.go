@@ -4,10 +4,15 @@
 // The DaVinci architecture adopts Float16 as its primary data type: the
 // fractal dimension C0 holds 16 Float16 elements so that one data-fractal is
 // always 16*16*2 bytes = 4096 bits (paper §III-B). All simulated buffers
-// store raw binary16 bit patterns; arithmetic is performed by widening to
-// float32, operating, and rounding back to the nearest representable
-// binary16 value (round-to-nearest-even), which matches the behaviour of
-// hardware half-precision vector units for the single-operation case.
+// store raw binary16 bit patterns. The scalar functions (Add, Max, ...)
+// define the arithmetic: widen to float32, operate, and round back to the
+// nearest representable binary16 value (round-to-nearest-even), which
+// matches hardware half-precision vector units for the single-operation
+// case. Comparisons work on the bits directly (orderKey). The slice
+// kernels (slice.go) that replay vector instructions compute the same
+// results on the bits, four lanes per 64-bit word, and defer the lanes
+// they do not handle exactly to the scalar functions, which tests use as
+// the oracle over every operand pair.
 package fp16
 
 import "math"

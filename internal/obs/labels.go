@@ -81,17 +81,17 @@ var CanonicalMetricNames = map[string]bool{
 	"cert_crosscheck_programs":    true,
 	"cert_crosscheck_divergences": true,
 	// Multi-core execution (internal/chip).
-	"chip_tiles":               true,
-	"chip_tile_cycles":         true,
-	"chip_tile_instrs":         true,
-	"chip_bytes_in":            true,
-	"chip_bytes_out":           true,
-	"chip_tile_retries":        true,
-	"chip_tile_requeues":       true,
-	"chip_tiles_degraded":      true,
-	"chip_watchdog_trips":      true,
-	"chip_cores_failed":        true,
-	"chip_tile_panics":         true,
+	"chip_tiles":                true,
+	"chip_tile_cycles":          true,
+	"chip_tile_instrs":          true,
+	"chip_bytes_in":             true,
+	"chip_bytes_out":            true,
+	"chip_tile_retries":         true,
+	"chip_tile_requeues":        true,
+	"chip_tiles_degraded":       true,
+	"chip_watchdog_trips":       true,
+	"chip_cores_failed":         true,
+	"chip_tile_panics":          true,
 	"chip_retry_backoff_cycles": true,
 	// Per-tile latency distributions (internal/chip): host wall nanoseconds
 	// per executed tile attempt, and attempts needed per finished tile (1 =

@@ -148,7 +148,9 @@ type Plan struct {
 
 	// timings memoizes the deterministic schedule per timing context, so
 	// replays after the first skip the scoreboard entirely.
-	timings sync.Map // timingKey -> *aicore.Stats
+	timings sync.Map // timingKey -> *timingFlight
+	// scheduled counts the scoreboard replays run for the memo.
+	scheduled atomic.Int64
 
 	// flat lazily caches the flattened functional trace of Prog, used by
 	// memoized replays in place of instruction-by-instruction execution.
@@ -209,9 +211,19 @@ func (pl *Plan) Run(core *aicore.Core, inputs ...*tensor.Tensor) ([]*tensor.Tens
 	return outs, st, nil
 }
 
+// timingFlight is the timing memo of one timing context: the first
+// plain replay (the leader) runs the scoreboard, and replays arriving
+// meanwhile wait on done instead of each running it again. st is set
+// before done closes; it stays nil when the leader failed.
+type timingFlight struct {
+	done chan struct{}
+	st   *aicore.Stats
+}
+
 // replay executes the cached program, memoizing the deterministic schedule
 // per (cost model, serialize) context: the first replay runs the full
-// timing scoreboard, later ones only replay a flattened functional trace
+// timing scoreboard — once, however many cores replay concurrently (see
+// timingFlight) — and later ones only replay a flattened functional trace
 // of the program (see aicore.Flatten) whose data effects are bit-identical
 // but whose host cost is a fraction of interpreting every instruction.
 // Tracing cores always schedule (the trace needs real start/end times);
@@ -225,29 +237,62 @@ func (pl *Plan) replay(core *aicore.Core) (*aicore.Stats, error) {
 		return core.ReplayWith(pl.Prog)
 	}
 	key := timingKey{cost: *core.Cost, serialize: core.Serialize}
-	if core.Trace != nil {
-		core.Trace.Reset()
-	}
-	if core.Trace == nil && core.OnInstr == nil {
+	if core.Trace != nil || core.OnInstr != nil {
 		// The flattened fast path bypasses per-instruction hooks, so an
 		// armed OnInstr (fault injection) forces interpretation.
-		if v, ok := pl.timings.Load(key); ok {
+		if core.Trace != nil {
+			core.Trace.Reset()
+		}
+		st, err := core.Replay(pl.Prog)
+		if err == nil && core.OnInstr == nil {
+			done := make(chan struct{})
+			close(done)
+			memo := *st
+			pl.timings.LoadOrStore(key, &timingFlight{done: done, st: &memo})
+		}
+		return st, err
+	}
+	for {
+		f := &timingFlight{done: make(chan struct{})}
+		v, loaded := pl.timings.LoadOrStore(key, f)
+		if !loaded {
+			return pl.lead(core, key, f)
+		}
+		f = v.(*timingFlight)
+		select {
+		case <-f.done:
+		case <-core.Cancel:
+			return nil, fmt.Errorf("ops: %s: awaiting the first replay: %w", pl.Name, aicore.ErrInterrupted)
+		}
+		if f.st != nil {
 			pl.flatOnce.Do(func() { pl.flat = aicore.Flatten(pl.Prog) })
 			if err := core.ExecFlat(pl.flat); err != nil {
 				return nil, err
 			}
-			st := *v.(*aicore.Stats)
+			st := *f.st
 			return &st, nil
 		}
+		// The leader failed; retry, leading if no one else does.
 	}
+}
+
+// lead runs the scoreboard replay for flight f and publishes its timing.
+// On failure (an error, an interrupt or a panic) it withdraws f and
+// wakes the waiters, which retry rather than wait forever.
+func (pl *Plan) lead(core *aicore.Core, key timingKey, f *timingFlight) (*aicore.Stats, error) {
+	defer func() {
+		if f.st == nil {
+			pl.timings.CompareAndDelete(key, f)
+		}
+		close(f.done)
+	}()
+	pl.scheduled.Add(1)
 	st, err := core.Replay(pl.Prog)
 	if err != nil {
 		return nil, err
 	}
-	if core.OnInstr == nil {
-		memo := *st
-		pl.timings.Store(key, &memo)
-	}
+	memo := *st
+	f.st = &memo
 	return st, nil
 }
 
