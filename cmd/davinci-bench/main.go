@@ -6,7 +6,7 @@
 //	davinci-bench [flags] [experiment ...]
 //
 // Experiments: table1, fig7a, fig7b, fig7c, fig8a, fig8b, fig8c, avgpool,
-// perf, sweep, optsweep, autosched, certsweep, serveload, all
+// perf, sweep, optsweep, autosched, serveload, all
 // (default: all). "serveload" drives the internal/serve fleet with an
 // open-loop load generator over the Table I shape mix and reports the
 // per-rate outcome profile (the deterministic smoke cell feeds the
@@ -18,14 +18,10 @@
 // slower — the CI opt regression gate. "autosched" compiles the same
 // programs with the schedule search (internal/sched) and fails if a
 // searched schedule regresses on any program — the autoscheduler
-// regression gate. "certsweep" proves the symbolic certificate registry
-// (internal/lint/sym) and compiles the certified kernels strict with and
-// without certificate admission, gating on cert hits, reduced compile
-// allocations and a divergence-free cross-check. -opt N compiles every
-// other experiment's plans at that optimizer level. With -metrics FILE,
-// every measured cell plus the chip, plan-cache, opt_rewrites, sched_*
-// and cert_* counters are dumped as a JSON snapshot (the CI
-// BENCH_<rev>.json artifact).
+// regression gate. -opt N compiles every other experiment's plans at
+// that optimizer level. With -metrics FILE, every measured cell plus the
+// chip, plan-cache, opt_rewrites and sched_* counters are dumped as a
+// JSON snapshot (the CI BENCH_<rev>.json artifact).
 package main
 
 import (
@@ -312,8 +308,6 @@ func run(exp string, opts bench.Options, csv bool) error {
 		return emit(bench.OptSweep(opts))
 	case "autosched":
 		return emit(bench.AutoschedSweep(opts))
-	case "certsweep":
-		return emit(bench.CertSweep(opts))
 	case "serveload":
 		return emit(bench.ServeLoad(opts))
 	case "all":
@@ -330,6 +324,6 @@ func run(exp string, opts bench.Options, csv bool) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown experiment (want table1, fig7a..c, fig8a..c, avgpool, perf, sweep, optsweep, autosched, certsweep, serveload, all)")
+		return fmt.Errorf("unknown experiment (want table1, fig7a..c, fig8a..c, avgpool, perf, sweep, optsweep, autosched, serveload, all)")
 	}
 }

@@ -46,6 +46,7 @@ import (
 	"davinci/internal/buffer"
 	"davinci/internal/cce"
 	"davinci/internal/isa"
+	"davinci/internal/kernelcases"
 	"davinci/internal/lint"
 	"davinci/internal/lint/perf"
 	"davinci/internal/ops"
@@ -172,17 +173,6 @@ func sweep(all bool, visit func(label string, pl *ops.Plan), skip func(label str
 	return ok
 }
 
-// unschedulable reports whether a compile error means "this tile does
-// not fit on one core at this shape" — a skip, not a failure.
-func unschedulable(err error) bool {
-	for _, s := range []string{"does not fit", "exceed", "out of space"} {
-		if strings.Contains(err.Error(), s) {
-			return true
-		}
-	}
-	return false
-}
-
 // lintKernels is the correctness gate: every plan's program is linted
 // raw (implicit-sync contract) and after AutoSync (explicit semantics).
 func lintKernels(out io.Writer, all bool) int {
@@ -198,7 +188,7 @@ func lintKernels(out io.Writer, all bool) int {
 			}
 		},
 		func(label string, err error) bool {
-			if unschedulable(err) {
+			if kernelcases.IsCapacitySkip(err) {
 				fmt.Fprintf(out, "%-38s %-30s %7s %6s skip (%v)\n", label, "-", "-", "-", err)
 				return true
 			}
@@ -250,7 +240,7 @@ func perfKernels(out io.Writer, all, jsonOut bool) int {
 			}
 		},
 		func(label string, err error) bool {
-			if unschedulable(err) {
+			if kernelcases.IsCapacitySkip(err) {
 				if !jsonOut {
 					fmt.Fprintf(out, "%-38s skip (%v)\n", label, err)
 				}
@@ -305,7 +295,7 @@ func optKernels(out io.Writer, all bool, level opt.Level) int {
 			label := fmt.Sprintf("%s@%s/%d", k.name, l.Network, l.Index)
 			base, err := k.plan(ops.Spec{}, p)
 			if err != nil {
-				if unschedulable(err) {
+				if kernelcases.IsCapacitySkip(err) {
 					fmt.Fprintf(out, "%-38s skip (%v)\n", label, err)
 					continue
 				}

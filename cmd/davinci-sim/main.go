@@ -261,7 +261,7 @@ func runChipTraced(o chipOptions) error {
 		byName[sp.Name]++
 	}
 	fmt.Printf("spans: %d total", len(spans))
-	for _, name := range []string{"chip_run", "plan_lookup", "plan_compile", "cert_admission", "opt_pipeline", "opt_pass", "sched_search", "sched_candidate", "tile_exec", "tile_degrade"} {
+	for _, name := range []string{"chip_run", "plan_lookup", "plan_compile", "opt_pipeline", "opt_pass", "sched_search", "sched_candidate", "tile_exec", "tile_degrade"} {
 		if byName[name] > 0 {
 			fmt.Printf("  %s=%d", name, byName[name])
 		}

@@ -22,16 +22,6 @@
 //     attribute list must have even length, so the span taxonomy in the
 //     JSONL/Perfetto exports stays closed and joinable.
 //
-//  3. Kernel families are certified. Every family (and every lowering
-//     variant spelled in the literal) of the ops dispatch table
-//     (kernelFamilies in internal/ops/plan.go) must have an entry in the
-//     certification catalogue (sym.CertifiedFamilies in
-//     internal/lint/sym/families.go), and every certified family must
-//     still exist in the dispatch table — a new kernel registered without
-//     certification coverage, or a stale certification entry, fails vet.
-//     The check compares the two composite literals cross-file and is
-//     skipped when either file or variable is absent.
-//
 // Usage:
 //
 //	go run ./cmd/davinci-vet ./...
@@ -114,116 +104,7 @@ func vet(root string, patterns []string) ([]finding, error) {
 			findings = append(findings, checkFile(fset, file, filepath.ToSlash(rel))...)
 		}
 	}
-	findings = append(findings, checkCertCoverage(root, fset)...)
 	return findings, nil
-}
-
-// checkCertCoverage is rule 3: the ops kernel dispatch table and the
-// certification catalogue must agree, family by family (and for the
-// variants spelled in the dispatch literal, variant by variant — entries
-// registered dynamically in init functions are invisible to this check
-// and exempt). Returns nothing when either side is absent, so the rule
-// degrades gracefully in partial checkouts.
-func checkCertCoverage(root string, fset *token.FileSet) []finding {
-	families, ok := mapLiteral(fset, filepath.Join(root, "internal", "ops", "plan.go"), "kernelFamilies")
-	if !ok {
-		return nil
-	}
-	certified, ok := mapLiteral(fset, filepath.Join(root, "internal", "lint", "sym", "families.go"), "CertifiedFamilies")
-	if !ok {
-		return nil
-	}
-	var findings []finding
-	for _, fam := range families {
-		cert, covered := certified[fam.name]
-		if !covered {
-			findings = append(findings, finding{pos: fam.pos, msg: fmt.Sprintf(
-				"kernel family %q has no certification entry (add it to sym.CertifiedFamilies or document why it cannot be certified)", fam.name)})
-			continue
-		}
-		for _, v := range fam.elems {
-			if !cert.elemSet[v.name] {
-				findings = append(findings, finding{pos: v.pos, msg: fmt.Sprintf(
-					"kernel variant %q of family %q has no certification entry in sym.CertifiedFamilies", v.name, fam.name)})
-			}
-		}
-	}
-	famSet := map[string]bool{}
-	for _, fam := range families {
-		famSet[fam.name] = true
-	}
-	for _, cert := range certified {
-		if !famSet[cert.name] {
-			findings = append(findings, finding{pos: cert.pos, msg: fmt.Sprintf(
-				"certified family %q is not in the ops kernel dispatch table (stale sym.CertifiedFamilies entry)", cert.name)})
-		}
-	}
-	return findings
-}
-
-// mapEntry is one key of a parsed map composite literal, with any
-// string-literal elements of its value (map keys or slice elements).
-type mapEntry struct {
-	name    string
-	pos     token.Position
-	elems   []mapEntry
-	elemSet map[string]bool
-}
-
-// mapLiteral parses path and extracts the top-level map composite literal
-// assigned to the named package variable: its string keys, and per key the
-// string literals inside the value (nested map keys, or string slice
-// elements). ok is false when the file or the variable is missing.
-func mapLiteral(fset *token.FileSet, path, varName string) (map[string]mapEntry, bool) {
-	file, err := parser.ParseFile(fset, path, nil, 0)
-	if err != nil {
-		return nil, false
-	}
-	for _, decl := range file.Decls {
-		gen, ok := decl.(*ast.GenDecl)
-		if !ok || gen.Tok != token.VAR {
-			continue
-		}
-		for _, spec := range gen.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok || len(vs.Names) != 1 || vs.Names[0].Name != varName || len(vs.Values) != 1 {
-				continue
-			}
-			lit, ok := vs.Values[0].(*ast.CompositeLit)
-			if !ok {
-				continue
-			}
-			out := map[string]mapEntry{}
-			for _, el := range lit.Elts {
-				kv, ok := el.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				key, ok := stringLit(kv.Key)
-				if !ok {
-					continue
-				}
-				entry := mapEntry{name: key, pos: fset.Position(kv.Key.Pos()), elemSet: map[string]bool{}}
-				if inner, ok := kv.Value.(*ast.CompositeLit); ok {
-					for _, iel := range inner.Elts {
-						var keyExpr ast.Expr
-						if ikv, ok := iel.(*ast.KeyValueExpr); ok {
-							keyExpr = ikv.Key
-						} else {
-							keyExpr = iel
-						}
-						if s, ok := stringLit(keyExpr); ok {
-							entry.elems = append(entry.elems, mapEntry{name: s, pos: fset.Position(keyExpr.Pos())})
-							entry.elemSet[s] = true
-						}
-					}
-				}
-				out[key] = entry
-			}
-			return out, true
-		}
-	}
-	return nil, false
 }
 
 // expand resolves "dir/..." patterns to the list of directories to check,

@@ -134,7 +134,7 @@ type Options struct {
 	// Trace is the span context each experiment run nests under: Run
 	// opens a bench_experiment span per experiment and the devices the
 	// experiments build thread it through chip.Config.Trace, so one
-	// trace covers compile, search, certification and tile execution.
+	// trace covers compile, search and tile execution.
 	// The zero value disables tracing.
 	Trace trace.Ctx
 }

@@ -1,11 +1,11 @@
 // Bench-trend regression gate: compare the metric snapshots two
 // davinci-bench runs wrote (-metrics, the CI BENCH_<rev>.json artifact)
-// and fail when a gated metric drifted in its bad direction. The gates
-// cover the simulated cycle counts (deterministic, so tolerance 0) and
-// the optimizer / autoscheduler / certificate win counters — the
-// quantities the repo's sweeps are supposed to keep monotone — while
-// host wall-clock metrics (cert_compile_nanos) stay ungated: they
-// measure the machine, not the code.
+// and fail on any drift of a gated metric in its bad direction. The
+// gates cover the simulated cycle counts (deterministic), the optimizer /
+// autoscheduler win counters and the serving smoke cell — the quantities
+// the repo's sweeps are supposed to keep monotone — while host
+// wall-clock metrics stay ungated: they measure the machine, not the
+// code.
 package bench
 
 import (
@@ -25,13 +25,10 @@ type TrendGate struct {
 	// Metric names the counter, gauge or histogram (histograms compare
 	// their Sum).
 	Metric string
-	// HigherIsWorse: larger values are regressions (cycles, allocs);
-	// false means smaller values are (accepted-schedule counts, cycles
-	// saved, certificate hits).
+	// HigherIsWorse: larger values are regressions (cycles, lost
+	// requests); false means smaller values are (accepted-schedule
+	// counts, cycles saved, goodput).
 	HigherIsWorse bool
-	// Tolerance is the allowed fractional drift in the bad direction
-	// (0.25 = 25%); 0 means any bad-direction change fails.
-	Tolerance float64
 	// PerCell compares gauge cells label-set by label-set instead of the
 	// metric's sum, so one layer getting slower cannot hide behind
 	// another getting faster.
@@ -46,16 +43,12 @@ func DefaultTrendGates() []TrendGate {
 		{Metric: "bench_stall_cycles", HigherIsWorse: true, PerCell: true},
 		{Metric: "sweep_program_cycles", HigherIsWorse: true},
 		{Metric: "sweep_stall_cycles", HigherIsWorse: true},
-		// Optimizer / autoscheduler / certificate win counters: shrinking
-		// means a pass stopped firing or a search stopped winning.
+		// Optimizer / autoscheduler win counters: shrinking means a pass
+		// stopped firing or a search stopped winning.
 		{Metric: "opt_rewrites", HigherIsWorse: false},
 		{Metric: "opt_cycles_saved", HigherIsWorse: false},
 		{Metric: "sched_accepted", HigherIsWorse: false},
 		{Metric: "sched_cycles_saved", HigherIsWorse: false},
-		{Metric: "cert_hits", HigherIsWorse: false},
-		// Compile-path allocations: counted by the Go runtime, so allow
-		// drift across toolchains; a 25% jump is a real regression.
-		{Metric: "cert_compile_allocs", HigherIsWorse: true, Tolerance: 0.25},
 		// Serving smoke: the deterministic load cell must keep completing
 		// everything it completes today, shed nothing new, and never lose
 		// a request — conservation violations gate with zero tolerance on
@@ -77,8 +70,8 @@ type TrendDelta struct {
 	// Delta is the fractional change (latest-base)/|base|; 0 when the
 	// base is 0.
 	Delta float64
-	// Regressed marks a bad-direction drift beyond the gate's tolerance,
-	// or a metric present in the baseline but gone from the latest run.
+	// Regressed marks any bad-direction drift, or a metric present in the
+	// baseline but gone from the latest run.
 	Regressed bool
 	// Skipped marks a gate whose metric the baseline does not carry (a
 	// gate added after the baseline was committed).
@@ -187,20 +180,13 @@ func sum(m map[string]float64) float64 {
 	return t
 }
 
-// worse reports whether latest drifted beyond tolerance in the gate's
-// bad direction relative to base.
+// worse reports whether latest drifted in the gate's bad direction
+// relative to base.
 func (g TrendGate) worse(base, latest float64) bool {
 	if g.HigherIsWorse {
-		return latest > base+tolBand(base, g.Tolerance)
+		return latest > base
 	}
-	return latest < base-tolBand(base, g.Tolerance)
-}
-
-func tolBand(base, tol float64) float64 {
-	if base < 0 {
-		base = -base
-	}
-	return base * tol
+	return latest < base
 }
 
 func frac(base, latest float64) float64 {

@@ -20,8 +20,6 @@ func trendSnap(mutate func(*obs.Registry)) *obs.Snapshot {
 	r.Counter("opt_cycles_saved").Add(900)
 	r.Counter("sched_accepted").Add(12)
 	r.Counter("sched_cycles_saved").Add(800)
-	r.Counter("cert_hits").Add(30)
-	r.Gauge("cert_compile_allocs", "mode", "certified").Set(200)
 	r.Gauge("serve_goodput", "experiment", "serveload", "input", "smoke").Set(48)
 	r.Gauge("serve_shed_requests", "experiment", "serveload", "input", "smoke").Set(0)
 	r.Gauge("serve_lost_requests", "experiment", "serveload", "input", "smoke").Set(0)
@@ -34,11 +32,9 @@ func trendSnap(mutate func(*obs.Registry)) *obs.Snapshot {
 func TestTrendCleanHistoryPasses(t *testing.T) {
 	base := trendSnap(nil)
 	latest := trendSnap(func(r *obs.Registry) {
-		// Strictly-better drift: fewer cycles, more wins, allocs within
-		// the 25% band.
+		// Strictly-better drift: fewer cycles, more wins.
 		r.Gauge("bench_cycles", "experiment", "fig7a", "input", "a", "impl", "im2col").Set(390)
 		r.Counter("sched_accepted").Add(1)
-		r.Gauge("cert_compile_allocs", "mode", "certified").Set(230)
 	})
 	rep := Trend("base", base, "latest", latest, DefaultTrendGates())
 	if rep.Failed() {
@@ -98,22 +94,6 @@ func TestTrendWinCounterDropFails(t *testing.T) {
 	rep := Trend("base", base, "latest", latest, DefaultTrendGates())
 	if !rep.Failed() {
 		t.Fatal("sched_accepted drop not detected")
-	}
-}
-
-func TestTrendAllocsToleranceBand(t *testing.T) {
-	base := trendSnap(nil)
-	within := trendSnap(func(r *obs.Registry) {
-		r.Gauge("cert_compile_allocs", "mode", "certified").Set(240) // +20% < 25%
-	})
-	if rep := Trend("base", base, "latest", within, DefaultTrendGates()); rep.Failed() {
-		t.Fatal("allocs drift within tolerance flagged")
-	}
-	beyond := trendSnap(func(r *obs.Registry) {
-		r.Gauge("cert_compile_allocs", "mode", "certified").Set(260) // +30% > 25%
-	})
-	if rep := Trend("base", base, "latest", beyond, DefaultTrendGates()); !rep.Failed() {
-		t.Fatal("allocs drift beyond tolerance not flagged")
 	}
 }
 

@@ -58,11 +58,10 @@ type Config struct {
 	// and passes the validation gate, the default otherwise. The sched_*
 	// counters land in Metrics via the plan cache.
 	AutoSchedule bool
-	// Strict routes every compile through the acceptance gate
-	// (lint/certificate admission), so plans this chip caches are the
-	// verified ones. The serving layer turns this on: admission-time
-	// compiles go through the cert registry's fast path and dispatch
-	// reuses them.
+	// Strict lints every compiled program before it is sealed
+	// (ops.Spec.Strict), so plans this chip caches are the verified
+	// ones. The serving layer turns this on: admission-time compiles pay
+	// the concrete lint once per shape and dispatch reuses the plans.
 	Strict bool
 	// Plans, when non-nil, is a shared plan cache used instead of a
 	// chip-private one. A fleet of identically-specced chips shares one
@@ -344,7 +343,7 @@ func (rs *runScope) ctx() trace.Ctx {
 
 // plan wraps the plan-cache lookup in a plan_lookup span. The cache
 // sets outcome=hit|miss on it and nests the plan_compile span (with its
-// cert/opt/sched children) under it on a miss.
+// opt/sched children) under it on a miss.
 func (rs *runScope) plan(get func(trace.Ctx) (*ops.Plan, error)) (*ops.Plan, error) {
 	ls := rs.ctx().StartSpan("plan_lookup", "impl", rs.kernel)
 	pl, err := get(ls.Ctx())

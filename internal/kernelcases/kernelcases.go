@@ -6,9 +6,10 @@
 package kernelcases
 
 import (
+	"errors"
 	"math/rand"
-	"strings"
 
+	"davinci/internal/buffer"
 	"davinci/internal/isa"
 	"davinci/internal/ops"
 	"davinci/internal/ref"
@@ -33,14 +34,11 @@ type Case struct {
 
 // IsCapacitySkip reports whether a planning error means the shape does
 // not fit the kernel's on-chip tiling (and a sweep should skip it, like
-// the chip-level tiling would) rather than a bug.
+// the chip-level tiling would) rather than a bug: the error wraps
+// ops.ErrCapacity or buffer.ErrNoSpace. Lint and validation errors never
+// qualify, whatever their wording.
 func IsCapacitySkip(err error) bool {
-	if err == nil {
-		return false
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "does not fit") || strings.Contains(msg, "exceed") ||
-		strings.Contains(msg, "out of space")
+	return errors.Is(err, ops.ErrCapacity) || errors.Is(err, buffer.ErrNoSpace)
 }
 
 func randTile(rng *rand.Rand, h, w int) *tensor.Tensor {

@@ -52,34 +52,9 @@ var CanonicalMetricNames = map[string]bool{
 	// autoscheduler ran no search and reported sched_candidates=0 with an
 	// explicit reason (ops.AutoSchedReport.NoSearch).
 	"sched_nosearch": true,
-	// Acceptance-gate lint legs skipped because a symbolic certificate
-	// already proves the candidate lint-clean (ops.AutoSchedReport.LintSkipped).
-	"sched_lint_skipped": true,
 	// O2 rescheduling passes skipped because the depgraph.Conflicts
 	// region-pair scan exhausted its comparison budget.
 	"depgraph_budget_exhausted": true,
-	// Symbolic certification admissions (internal/lint/sym): a strict
-	// compile whose concrete lint was skipped under a sealed certificate
-	// (hits), a query for a kernel with no certificates at all (misses),
-	// and a query whose shape or schedule fell outside every certified
-	// domain, falling back to concrete lint (fallbacks).
-	"cert_hits":      true,
-	"cert_misses":    true,
-	"cert_fallbacks": true,
-	// Certificate-admission compile cost comparison (internal/bench
-	// certsweep): wall nanos and heap allocations per strict plan compile,
-	// labeled impl=strict|certified.
-	"cert_compile_nanos":  true,
-	"cert_compile_allocs": true,
-	// Certificate registry summary (internal/bench certsweep): sealed
-	// certificates and the shapes they admit.
-	"cert_certificates":    true,
-	"cert_admitted_shapes": true,
-	// Certificate cross-check summary (internal/bench certsweep): probes
-	// compared against concrete lint and the divergences found (any
-	// divergence fails the build).
-	"cert_crosscheck_programs":    true,
-	"cert_crosscheck_divergences": true,
 	// Multi-core execution (internal/chip).
 	"chip_tiles":                true,
 	"chip_tile_cycles":          true,
@@ -162,9 +137,6 @@ var CanonicalSpanNames = map[string]bool{
 	"plan_lookup": true,
 	// One plan compile (lowering + lint + opt + perf), cache-miss only.
 	"plan_compile": true,
-	// Certificate-registry consultation on a strict compile
-	// (internal/ops/cert.go). Attr outcome = certified|lint.
-	"cert_admission": true,
 	// Static-optimizer pipeline over a sealed program (internal/opt),
 	// reconstructed from the wall-clock windows opt.Result records; one
 	// opt_pass child per applied rewrite pass.

@@ -101,7 +101,7 @@ func PlanConv2D(spec Spec, p isa.ConvParams, co, c int) (*Plan, error) {
 	wBytes := kDim * nDim * isa.FractalBytes
 
 	if wBytes > core.Mem.Space(isa.L0B).Free() {
-		return nil, fmt.Errorf("ops: conv weights (%d bytes) exceed L0B; tile Co/C further", wBytes)
+		return nil, errCapacity("ops: conv weights (%d bytes) exceed L0B; tile Co/C further", wBytes)
 	}
 
 	inGM, err := b.input(inBytes)
@@ -135,7 +135,7 @@ func PlanConv2D(spec Spec, p isa.ConvParams, co, c int) (*Plan, error) {
 	mBandMax = min(mBandMax, ubAvail(core)/(nDim*isa.FractalBytes))
 	mBand := min(mBandMax, fracs)
 	if mBand < 1 {
-		return nil, fmt.Errorf("ops: conv K=%d N=%d does not fit the L0 buffers; tile channels further", kDim, nDim)
+		return nil, errCapacity("ops: conv K=%d N=%d does not fit the L0 buffers; tile channels further", kDim, nDim)
 	}
 	l0a := core.Mem.Space(isa.L0A).MustAlloc(mBand * kDim * isa.FractalBytes)
 	l0c := core.Mem.Space(isa.L0C).MustAlloc(mBand * nDim * fp32Frac)

@@ -90,7 +90,7 @@ func PlanConv2DBackwardData(spec Spec, p isa.ConvParams, co, c int) (*Plan, erro
 	wBytes := co1 * nMM * isa.FractalBytes
 
 	if wBytes > core.Mem.Space(isa.L0B).Free() {
-		return nil, fmt.Errorf("ops: conv bwd weights (%d bytes) exceed L0B; tile channels further", wBytes)
+		return nil, errCapacity("ops: conv bwd weights (%d bytes) exceed L0B; tile channels further", wBytes)
 	}
 
 	gradGM, err := b.input(gpadBytes)
@@ -132,7 +132,7 @@ func PlanConv2DBackwardData(spec Spec, p isa.ConvParams, co, c int) (*Plan, erro
 		mBand = b
 	}
 	if mBand == 0 {
-		return nil, fmt.Errorf("ops: conv bwd K=%d N=%d does not fit the buffers; tile channels further", kMM, nMM)
+		return nil, errCapacity("ops: conv bwd K=%d N=%d does not fit the buffers; tile channels further", kMM, nMM)
 	}
 	l0a := core.Mem.Space(isa.L0A).MustAlloc(mBand * kMM * isa.FractalBytes)
 	l0c := core.Mem.Space(isa.L0C).MustAlloc(mBand * nMM * fp32Frac)

@@ -71,7 +71,7 @@ func PlanConv2DBackwardWeights(spec Spec, p isa.ConvParams, co, c int) (*Plan, e
 	// Patch-fractal band bounded by L0A (Co1 x band) and L0B (band x nMM);
 	// L0C holds the full Co1 x nMM accumulator.
 	if co1*nMM*fp32Frac > core.Mem.Space(isa.L0C).Free() {
-		return nil, fmt.Errorf("ops: conv dW accumulator Co1=%d N=%d exceeds L0C; tile channels further", co1, nMM)
+		return nil, errCapacity("ops: conv dW accumulator Co1=%d N=%d exceeds L0C; tile channels further", co1, nMM)
 	}
 	mBand := min(
 		core.Mem.Space(isa.L0A).Free()/(co1*isa.FractalBytes),
@@ -79,10 +79,10 @@ func PlanConv2DBackwardWeights(spec Spec, p isa.ConvParams, co, c int) (*Plan, e
 	)
 	mBand = min(mBand, fracs)
 	if mBand < 1 {
-		return nil, fmt.Errorf("ops: conv dW Co1=%d N=%d does not fit L0A/L0B; tile channels further", co1, nMM)
+		return nil, errCapacity("ops: conv dW Co1=%d N=%d does not fit L0A/L0B; tile channels further", co1, nMM)
 	}
 	if co1*nMM*isa.FractalBytes > ubAvail(core) {
-		return nil, fmt.Errorf("ops: conv dW staging exceeds the UB; tile channels further")
+		return nil, errCapacity("ops: conv dW staging exceeds the UB; tile channels further")
 	}
 	l0a := core.Mem.Space(isa.L0A).MustAlloc(co1 * mBand * isa.FractalBytes)
 	l0b := core.Mem.Space(isa.L0B).MustAlloc(mBand * nMM * isa.FractalBytes)

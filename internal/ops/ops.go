@@ -18,6 +18,7 @@
 package ops
 
 import (
+	"errors"
 	"fmt"
 
 	"davinci/internal/aicore"
@@ -127,8 +128,26 @@ func ubAvail(core *aicore.Core) int {
 	return core.Mem.Space(isa.UB).Free() - 8*Block
 }
 
+// ErrCapacity is wrapped by every compile error that means the tile does
+// not fit a core's on-chip buffers at this shape and must be tiled
+// further — a shape limit, as opposed to a bug or an invalid schedule.
+// Sweeps skip such shapes (test with errors.Is), as chip-level tiling
+// would.
+var ErrCapacity = errors.New("ops: tile exceeds on-chip capacity")
+
+// capacityError is a capacity failure whose message names the buffer and
+// the remedy; it unwraps to ErrCapacity.
+type capacityError struct{ msg string }
+
+func (e *capacityError) Error() string { return e.msg }
+func (e *capacityError) Unwrap() error { return ErrCapacity }
+
+func errCapacity(format string, args ...any) error {
+	return &capacityError{msg: fmt.Sprintf(format, args...)}
+}
+
 // errTooLarge builds the error returned when a tile cannot be scheduled.
 func errTooLarge(kernel string, p isa.ConvParams) error {
-	return fmt.Errorf("ops: %s: tile (%d,%d) kernel (%d,%d) does not fit the Unified Buffer even at band size 1; tile the input further",
+	return errCapacity("ops: %s: tile (%d,%d) kernel (%d,%d) does not fit the Unified Buffer even at band size 1; tile the input further",
 		kernel, p.Ih, p.Iw, p.Kh, p.Kw)
 }

@@ -134,11 +134,6 @@ type Plan struct {
 	// AutoSchedule (candidates considered/pruned/confirmed, the cycles
 	// saved or why the searched schedule was rejected); nil otherwise.
 	Auto *AutoSchedReport
-	// Certified reports that a symbolic certificate (internal/lint/sym)
-	// admitted this compile: the Spec was Strict, but the concrete lint
-	// pass was skipped because a sealed certificate proves every in-domain
-	// shape of this (kernel, schedule) lowering lint-clean.
-	Certified bool
 
 	slots  []gmSlot
 	outs   []gmRead
@@ -454,8 +449,8 @@ func (c *PlanCache) Plans() []*Plan {
 // tc is the caller's tracing context — conventionally a plan_lookup span.
 // Get annotates it with outcome=hit|miss and, when this call actually
 // compiles, wraps the compile in a plan_compile child span whose context
-// is handed to the compile closure (so certificate admission, optimizer
-// and schedule-search spans nest under the compile that triggered them).
+// is handed to the compile closure (so optimizer and schedule-search
+// spans nest under the compile that triggered them).
 // The zero trace.Ctx disables all of it at no cost.
 func (c *PlanCache) Get(tc trace.Ctx, key PlanKey, compile func(trace.Ctx) (*Plan, error)) (*Plan, error) {
 	key.Spec = key.Spec.normalized()
@@ -501,9 +496,6 @@ func (c *PlanCache) Get(tc trace.Ctx, key PlanKey, compile func(trace.Ctx) (*Pla
 				}
 				if saved := a.Saved(); saved > 0 {
 					c.metrics.Counter("sched_cycles_saved").Add(saved)
-				}
-				if skipped := a.LintSkipped; skipped > 0 {
-					c.metrics.Counter("sched_lint_skipped").Add(int64(skipped))
 				}
 			}
 			emitOptSpans(cs.Ctx(), e.plan)
@@ -609,7 +601,7 @@ func planVariant(tc trace.Ctx, family, kind, variant string, spec Spec, p isa.Co
 	if spec.AutoSchedule {
 		return autoPlan(tc, family+"/"+variant, spec, p)
 	}
-	return compileCertified(tc, family+"/"+variant, fn, spec, p, ScheduleParams{Mode: variant})
+	return fn(spec, p, ScheduleParams{Mode: variant})
 }
 
 // CompileKernel compiles kernel ("family/variant", e.g.
@@ -634,7 +626,7 @@ func CompileKernel(kernel string, spec Spec, p isa.ConvParams, sp ScheduleParams
 	}
 	spec.AutoSchedule = false
 	sp.Mode = variant
-	return compileCertified(trace.Ctx{}, family+"/"+variant, fn, spec, p, sp)
+	return fn(spec, p, sp)
 }
 
 // PlanMaxPoolForward compiles a forward Maxpool variant ("standard",

@@ -271,11 +271,6 @@ type AutoSchedReport struct {
 	// compile reports sched_candidates=0 and bumps sched_nosearch, so the
 	// downgrade is visible instead of reading like an empty frontier.
 	NoSearch bool
-	// LintSkipped counts candidate lint legs the acceptance gate skipped
-	// because a shape-generic certificate (internal/lint/sym) already
-	// proves the candidate's lowering lint-clean over a domain containing
-	// this shape.
-	LintSkipped int
 	// Params is the schedule of the plan Run executes.
 	Params ScheduleParams
 	// WallNanos is the host wall-clock time the search spent.

@@ -11,8 +11,8 @@ import (
 // validation: each lowering must reject, with a typed
 // InvalidScheduleError naming the knob, every schedule axis it does not
 // expose and every out-of-range value of the axes it does — the crisp
-// edge of the space the autoscheduler's enumerator and the symbolic
-// certifier's applicability probes both rely on.
+// edge of the space the autoscheduler's enumerator and the
+// schedule-space lint sweep both rely on.
 func TestInvalidScheduleKnobs(t *testing.T) {
 	// 17x17, kernel 3, stride 2: every family compiles quickly and the
 	// stride keeps patches non-consecutive (Sw != 1), which makes

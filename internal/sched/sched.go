@@ -135,10 +135,7 @@ func Search(kernel string, spec ops.Spec, p isa.ConvParams, o Options) (*Result,
 	var invalid []Candidate
 	considered, pruned := 0, 0
 
-	// bandDiv records the provenance of a concrete Band candidate (default
-	// band / bandDiv), which is how shape-generic certificates key their
-	// band-split patterns (ops.CertQuery.BandDiv).
-	try := func(sp ops.ScheduleParams, bandDiv int) *compiledCandidate {
+	try := func(sp ops.ScheduleParams) *compiledCandidate {
 		considered++
 		pl, err := ops.CompileKernel(kernel, spec, p, sp)
 		if err != nil {
@@ -153,7 +150,7 @@ func Search(kernel string, spec ops.Spec, p isa.ConvParams, o Options) (*Result,
 			return nil
 		}
 		seen[pl.Sched] = true
-		c := &compiledCandidate{pl: pl, bandDiv: bandDiv, cand: Candidate{
+		c := &compiledCandidate{pl: pl, cand: Candidate{
 			Params:    sp,
 			Resolved:  pl.Sched,
 			CritPath:  pl.Perf.CritPath,
@@ -166,7 +163,7 @@ func Search(kernel string, spec ops.Spec, p isa.ConvParams, o Options) (*Result,
 	for _, m := range modes {
 		base := def
 		if m != def.Sched.Mode {
-			c := try(ops.ScheduleParams{Mode: m}, 0)
+			c := try(ops.ScheduleParams{Mode: m})
 			if c == nil {
 				// The mode's own default failed (over capacity for this
 				// shape) or resolved onto a known point; without its
@@ -175,28 +172,9 @@ func Search(kernel string, spec ops.Spec, p isa.ConvParams, o Options) (*Result,
 			}
 			base = c.pl
 		}
-		// Band splitting: the default band is the largest that fits, which
-		// often means a single band per buffer rotation — halving it buys
-		// load/compute overlap at the cost of more issue overhead.
-		b := base.Sched.Band
-		for _, div := range []int{2, 4, 8} {
-			if bb := b / div; bb >= 1 {
-				try(ops.ScheduleParams{Mode: m, Band: bb}, div)
-			}
+		for _, sp := range modeCandidates(m, base.Sched.Band) {
+			try(sp)
 		}
-		// Single buffering frees half the UB, letting the band grow.
-		try(ops.ScheduleParams{Mode: m, Buffers: 1}, 0)
-		if bb := b / 2; bb >= 1 {
-			try(ops.ScheduleParams{Mode: m, Band: bb, Buffers: 1}, 2)
-		}
-		// The remaining axes are cheap single-knob flips; lowerings
-		// without the axis reject them (counted as pruned).
-		try(ops.ScheduleParams{Mode: m, Saturate: ops.SatNarrow}, 0)
-		for _, rc := range []int{16, 64} {
-			try(ops.ScheduleParams{Mode: m, RepeatChunk: rc}, 0)
-		}
-		try(ops.ScheduleParams{Mode: m, Epilogue: ops.EpiDeferred}, 0)
-		try(ops.ScheduleParams{Mode: m, Gather: ops.GatherMTE}, 0)
 	}
 
 	// Rank by the static upper bound: the candidate that cannot be worse
@@ -247,7 +225,7 @@ func Search(kernel string, spec ops.Spec, p isa.ConvParams, o Options) (*Result,
 		// validation gate; a gate failure falls through to the next
 		// winner, and to the default when none survive.
 		for _, w := range winners {
-			reason := validate(family, spec, def, w, inputs, rep)
+			reason := validate(spec, def, w, inputs)
 			if reason == "" {
 				rep.Accepted = true
 				rep.Cycles = w.cand.Cycles
@@ -288,25 +266,10 @@ func Search(kernel string, spec ops.Spec, p isa.ConvParams, o Options) (*Result,
 // sync, its confirmed makespan respects the static bound invariant, and
 // it produces bit-identical outputs to the default plan on the family's
 // gate inputs. Returns "" on success, the rejection reason otherwise.
-//
-// The lint leg is skipped (and counted on rep.LintSkipped) when a sealed
-// symbolic certificate (internal/lint/sym, via ops.RegisterCertifier)
-// already proves this candidate's lowering lint-clean over a parameter
-// domain containing the searched shape.
-func validate(family string, spec ops.Spec, def *ops.Plan, w *compiledCandidate, inputs []*tensor.Tensor, rep *ops.AutoSchedReport) string {
-	if ops.Certified(ops.CertQuery{
-		Kernel:  family + "/" + w.pl.Sched.Mode,
-		Spec:    spec,
-		Params:  def.Params,
-		Sched:   w.cand.Params,
-		BandDiv: w.bandDiv,
-	}) {
-		rep.LintSkipped++
-	} else {
-		diags := lint.CheckWith(lint.Options{Caps: spec.Buffers.Capacities(), Mode: lint.SyncImplicit}, w.pl.Prog)
-		if errs := lint.Errors(diags); len(errs) > 0 {
-			return fmt.Sprintf("lint: %d error(s), first: %s", len(errs), errs[0])
-		}
+func validate(spec ops.Spec, def *ops.Plan, w *compiledCandidate, inputs []*tensor.Tensor) string {
+	diags := lint.CheckWith(lint.Options{Caps: spec.Buffers.Capacities(), Mode: lint.SyncImplicit}, w.pl.Prog)
+	if errs := lint.Errors(diags); len(errs) > 0 {
+		return fmt.Sprintf("lint: %d error(s), first: %s", len(errs), errs[0])
 	}
 	if w.cand.Cycles < w.cand.BusyBound || w.cand.Cycles > w.cand.CritPath {
 		return fmt.Sprintf("makespan %d outside static bounds [%d, %d]", w.cand.Cycles, w.cand.BusyBound, w.cand.CritPath)
@@ -391,14 +354,42 @@ func gateInputs(family string, p isa.ConvParams) ([]*tensor.Tensor, error) {
 	return nil, fmt.Errorf("sched: no gate inputs for kernel family %q", family)
 }
 
+// modeCandidates lists the schedule points the search probes around the
+// default of lowering mode m, whose resolved band is band, in probe
+// order. It is the one definition of the candidate space: the search
+// enumerates it and the schedule-space lint sweep (sched tests) walks it.
+// Lowerings without an axis reject its candidates with an
+// ops.InvalidScheduleError.
+func modeCandidates(m string, band int) []ops.ScheduleParams {
+	var out []ops.ScheduleParams
+	// Band splitting: the default band is the largest that fits, which
+	// often means a single band per buffer rotation — halving it buys
+	// load/compute overlap at the cost of more issue overhead.
+	for _, div := range []int{2, 4, 8} {
+		if bb := band / div; bb >= 1 {
+			out = append(out, ops.ScheduleParams{Mode: m, Band: bb})
+		}
+	}
+	// Single buffering frees half the UB, letting the band grow.
+	out = append(out, ops.ScheduleParams{Mode: m, Buffers: 1})
+	if bb := band / 2; bb >= 1 {
+		out = append(out, ops.ScheduleParams{Mode: m, Band: bb, Buffers: 1})
+	}
+	// The remaining axes are cheap single-knob flips.
+	out = append(out, ops.ScheduleParams{Mode: m, Saturate: ops.SatNarrow})
+	for _, rc := range []int{16, 64} {
+		out = append(out, ops.ScheduleParams{Mode: m, RepeatChunk: rc})
+	}
+	return append(out,
+		ops.ScheduleParams{Mode: m, Epilogue: ops.EpiDeferred},
+		ops.ScheduleParams{Mode: m, Gather: ops.GatherMTE})
+}
+
 // compiledCandidate pairs a compiled candidate plan with its frontier
-// entry during the search. bandDiv is the divisor a concrete Band
-// candidate was derived with (default band / bandDiv; 0 for non-band
-// candidates) — the provenance the certificate admission key needs.
+// entry during the search.
 type compiledCandidate struct {
-	pl      *ops.Plan
-	bandDiv int
-	cand    Candidate
+	pl   *ops.Plan
+	cand Candidate
 }
 
 // init injects the search into internal/ops, so any Spec with

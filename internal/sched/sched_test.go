@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"davinci/internal/aicore"
@@ -16,85 +17,99 @@ var testShapes = []isa.ConvParams{
 	{Ih: 28, Iw: 28, Kh: 2, Kw: 2, Sh: 2, Sw: 2},
 }
 
-var testKernels = []string{
-	"maxpool_fwd/standard",
-	"maxpool_fwd/im2col",
-	"maxpool_fwd_argmax/standard",
-	"maxpool_fwd_argmax/im2col",
-	"maxpool_bwd/standard",
-	"maxpool_bwd/col2im",
-	"avgpool_fwd/standard",
-	"avgpool_fwd/im2col",
-	"avgpool_bwd/standard",
-	"avgpool_bwd/col2im",
-}
-
-// TestQuickcheckCandidates is the seeded quickcheck of the search space:
-// every candidate the search enumerates either fails validation (it is
-// outside the kernel's schedule space) or compiles to a plan whose
-// outputs are bit-identical to the hand-tuned default on the family's
-// gate inputs. Run under -race this also exercises concurrent plan
-// compilation safety via the shared planner machinery.
+// TestQuickcheckCandidates is the seeded quickcheck of the search space,
+// over every kernel of the ops dispatch table. Every candidate the search
+// enumerates either is outside the space — its recompile fails with an
+// invalid-schedule or capacity error, nothing else — or recompiles to a
+// canonical plan whose outputs are bit-identical to the hand-tuned
+// default on the family's gate inputs. The candidates of the kernel's own
+// mode (the default included) recompile strict and pass the
+// schedule-space lint checks (checkProgram), the default without even a
+// warning; other modes' candidates get them when their own kernel is
+// searched, so each program is linted once per shape. Kernels run as
+// parallel subtests, so under -race this also exercises concurrent plan
+// compilation through the shared planner machinery.
 func TestQuickcheckCandidates(t *testing.T) {
-	for _, p := range testShapes {
-		for _, kernel := range testKernels {
-			res, err := Search(kernel, ops.Spec{}, p, Options{})
-			if err != nil {
-				if kernelcases.IsCapacitySkip(err) {
-					continue
-				}
-				t.Fatalf("%s %v: %v", kernel, p, err)
+	for _, kernel := range allKernels() {
+		t.Run(kernel, func(t *testing.T) {
+			t.Parallel()
+			for _, p := range testShapes {
+				quickcheckShape(t, kernel, p)
 			}
-			def, err := ops.CompileKernel(kernel, ops.Spec{}, p, ops.ScheduleParams{})
-			if err != nil {
-				t.Fatalf("%s %v: default: %v", kernel, p, err)
-			}
-			inputs, err := gateInputs(kernelFamily(kernel), p)
-			if err != nil {
-				t.Fatalf("%s: gate inputs: %v", kernel, err)
-			}
-			want, _, err := def.Run(aicore.New(ops.Spec{}.Buffers.Normalized(), nil), inputs...)
-			if err != nil {
-				t.Fatalf("%s %v: default run: %v", kernel, p, err)
-			}
-			for _, cand := range res.Candidates {
-				if cand.Invalid != "" {
-					continue // outside the space: that IS the contract
-				}
-				pl, err := ops.CompileKernel(kernel, ops.Spec{}, p, cand.Resolved)
-				if err != nil {
-					t.Errorf("%s %v: resolved schedule %s does not recompile: %v", kernel, p, cand.Resolved, err)
-					continue
-				}
-				if pl.Sched != cand.Resolved {
-					t.Errorf("%s %v: schedule %s not canonical, recompiled to %s", kernel, p, cand.Resolved, pl.Sched)
-				}
-				got, _, err := pl.Run(aicore.New(ops.Spec{}.Buffers.Normalized(), nil), inputs...)
-				if err != nil {
-					t.Errorf("%s %v: candidate %s run: %v", kernel, p, cand.Resolved, err)
-					continue
-				}
-				if len(got) != len(want) {
-					t.Errorf("%s %v: candidate %s: %d outputs, want %d", kernel, p, cand.Resolved, len(got), len(want))
-					continue
-				}
-				for i := range want {
-					if !bytes.Equal(want[i].Data, got[i].Data) {
-						t.Errorf("%s %v: candidate %s: output %d differs from default", kernel, p, cand.Resolved, i)
-					}
-				}
-			}
-		}
+		})
 	}
 }
 
-func kernelFamily(kernel string) string {
-	for i := 0; i < len(kernel); i++ {
-		if kernel[i] == '/' {
-			return kernel[:i]
+func quickcheckShape(t *testing.T, kernel string, p isa.ConvParams) {
+	res, err := Search(kernel, ops.Spec{}, p, Options{})
+	if err != nil {
+		if kernelcases.IsCapacitySkip(err) {
+			return
+		}
+		t.Fatalf("%s %v: %v", kernel, p, err)
+	}
+	def, err := ops.CompileKernel(kernel, ops.Spec{}, p, ops.ScheduleParams{})
+	if err != nil {
+		t.Fatalf("%s %v: default: %v", kernel, p, err)
+	}
+	family, mode, _ := strings.Cut(kernel, "/")
+	inputs, err := gateInputs(family, p)
+	if err != nil {
+		t.Fatalf("%s: gate inputs: %v", kernel, err)
+	}
+	want, _, err := def.Run(aicore.New(ops.Spec{}.Buffers.Normalized(), nil), inputs...)
+	if err != nil {
+		t.Fatalf("%s %v: default run: %v", kernel, p, err)
+	}
+	for _, cand := range res.Candidates {
+		if cand.Invalid != "" {
+			// Outside the space is the contract, but only for the two
+			// legal reasons.
+			if _, err := ops.CompileKernel(kernel, ops.Spec{}, p, cand.Params); !ops.IsInvalidSchedule(err) && !kernelcases.IsCapacitySkip(err) {
+				t.Errorf("%s %v: candidate %s marked invalid (%s), recompile error %v is neither an invalid schedule nor a capacity error",
+					kernel, p, cand.Params, cand.Invalid, err)
+			}
+			continue
+		}
+		own := cand.Resolved.Mode == mode
+		spec := ops.Spec{}
+		if own {
+			spec = strictSpec
+		}
+		pl, err := ops.CompileKernel(kernel, spec, p, cand.Resolved)
+		if err != nil {
+			t.Errorf("%s %v: resolved schedule %s does not recompile (strict=%v): %v", kernel, p, cand.Resolved, own, err)
+			continue
+		}
+		if pl.Sched != cand.Resolved {
+			t.Errorf("%s %v: schedule %s not canonical, recompiled to %s", kernel, p, cand.Resolved, pl.Sched)
+		}
+		if own {
+			warns, err := checkProgram(pl)
+			if err != nil {
+				t.Errorf("%s %v: candidate %s: %v", kernel, p, cand.Resolved, err)
+			}
+			// These shapes read every input row, so the default
+			// schedules lint without warnings too.
+			if cand.Default && len(warns) > 0 {
+				t.Errorf("%s %v: default schedule: %d explicit lint warning(s), first: %s", kernel, p, len(warns), warns[0])
+			}
+		}
+		got, _, err := pl.Run(aicore.New(ops.Spec{}.Buffers.Normalized(), nil), inputs...)
+		if err != nil {
+			t.Errorf("%s %v: candidate %s run: %v", kernel, p, cand.Resolved, err)
+			continue
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s %v: candidate %s: %d outputs, want %d", kernel, p, cand.Resolved, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if !bytes.Equal(want[i].Data, got[i].Data) {
+				t.Errorf("%s %v: candidate %s: output %d differs from default", kernel, p, cand.Resolved, i)
+			}
 		}
 	}
-	return kernel
 }
 
 // TestSearchReportInvariants checks the search's account of itself: an
@@ -103,7 +118,7 @@ func kernelFamily(kernel string) string {
 // kept default reports baseline cycles.
 func TestSearchReportInvariants(t *testing.T) {
 	for _, p := range testShapes {
-		for _, kernel := range testKernels {
+		for _, kernel := range allKernels() {
 			res, err := Search(kernel, ops.Spec{}, p, Options{})
 			if err != nil {
 				if kernelcases.IsCapacitySkip(err) {

@@ -52,8 +52,8 @@ func (s *Server) Submit(ctx context.Context, req Request) *Ticket {
 	// Admission fast-path: compile (or hit) the plan through the shared
 	// shape-keyed cache. The fleet chips share this cache, so dispatch
 	// never compiles; a cold shape pays its compile here, off the
-	// dispatcher hot path. Strict spec: compiles go through the
-	// certificate registry's admission fast path.
+	// dispatcher hot path. Strict spec: each compile lints its program
+	// concretely before the plan is sealed.
 	plan, err := s.compile(admit.Ctx(), &req)
 	if err != nil {
 		outcome("invalid")

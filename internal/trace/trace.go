@@ -1,6 +1,6 @@
 // Package trace is a span-based hierarchical tracer for the host-side
-// compile-and-dispatch pipeline: plan-cache lookups, strict/certified
-// compiles, optimizer passes, autoschedule search, and per-tile execution
+// compile-and-dispatch pipeline: plan-cache lookups, strict compiles,
+// optimizer passes, autoschedule search, and per-tile execution
 // on the simulated chip.
 //
 // The cycle-level simulator is already deeply observable (aicore.Trace,
