@@ -117,7 +117,7 @@ func main() {
 // with per-instruction pipe assignments — the program the Fig. 5 layout
 // feeds — plus the optimizer's rewrite report when a level is set.
 func printProgram(p isa.ConvParams, variant string, level opt.Level) error {
-	pl, err := ops.PlanMaxPoolForward(variant, ops.Spec{Opt: level}, p)
+	pl, err := ops.Compile("maxpool_fwd/"+variant, ops.Spec{Opt: level}, ops.Dims{P: p})
 	if err != nil {
 		return err
 	}

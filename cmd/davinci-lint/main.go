@@ -87,59 +87,17 @@ func run(args []string, out io.Writer) int {
 	}
 }
 
-// kernel is one built-in plan constructor. Direct lowerings
-// (standard/expansion/xysplit) emit one instruction per pooling window
-// and the hazard analysis is quadratic, so they only run on the smallest
-// selected layer; the im2col/col2im/cube family stays compact at every
-// production shape and runs on all of them.
-type kernel struct {
-	name   string
-	direct bool
-	plan   func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error)
-}
-
-// convCh is the logical channel extent the convolution kernels are
-// compiled for: one C0 slice, matching the single-tile pooling programs.
-const convCh = 16
-
-func builtinKernels() []kernel {
-	var ks []kernel
-	forVariant := func(name string, fn func(string, ops.Spec, isa.ConvParams) (*ops.Plan, error), variants ...string) {
-		for _, v := range variants {
-			variant := v
-			ks = append(ks, kernel{
-				name:   name + "/" + variant,
-				direct: variant == "standard" || variant == "expansion" || variant == "xysplit",
-				plan:   func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error) { return fn(variant, spec, p) },
-			})
-		}
+// direct reports whether a catalogue kernel is a direct lowering
+// (standard/expansion/xysplit): those emit one instruction per pooling
+// window and the hazard analysis is quadratic, so they only run on the
+// smallest selected layer; the im2col/col2im/cube family stays compact at
+// every production shape and runs on all of them.
+func direct(kc kernelcases.Case) bool {
+	switch kc.Kernel.Mode {
+	case "standard", "expansion", "xysplit":
+		return true
 	}
-	forVariant("maxpool-fwd", ops.PlanMaxPoolForward, "standard", "im2col", "expansion", "xysplit")
-	forVariant("maxpool-argmax", ops.PlanMaxPoolForwardArgmax, "standard", "im2col")
-	forVariant("maxpool-bwd", ops.PlanMaxPoolBackward, "standard", "col2im")
-	forVariant("avgpool-fwd", ops.PlanAvgPoolForward, "standard", "im2col", "cube")
-	for _, useCol2im := range []bool{false, true} {
-		use := useCol2im
-		name, direct := "avgpool-bwd/standard", true
-		if use {
-			name, direct = "avgpool-bwd/col2im", false
-		}
-		ks = append(ks, kernel{name, direct, func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-			return ops.PlanAvgPoolBackward(spec, p, use)
-		}})
-	}
-	ks = append(ks,
-		kernel{"conv2d/im2col-cube", false, func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-			return ops.PlanConv2D(spec, p, convCh, convCh)
-		}},
-		kernel{"conv2d-bwd-data/col2im", false, func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-			return ops.PlanConv2DBackwardData(spec, p, convCh, convCh)
-		}},
-		kernel{"conv2d-bwd-weights/cube", false, func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-			return ops.PlanConv2DBackwardWeights(spec, p, convCh, convCh)
-		}},
-	)
-	return ks
+	return false
 }
 
 // sweep compiles every applicable kernel for every selected layer and
@@ -155,12 +113,12 @@ func sweep(all bool, visit func(label string, pl *ops.Plan), skip func(label str
 	spec := ops.Spec{}
 	for _, l := range layers {
 		p := l.Params()
-		for _, k := range builtinKernels() {
-			if k.direct && !smallest(layers, l) {
+		for _, kc := range kernelcases.All() {
+			if direct(kc) && !smallest(layers, l) {
 				continue
 			}
-			label := fmt.Sprintf("%s@%s/%d", k.name, l.Network, l.Index)
-			pl, err := k.plan(spec, p)
+			label := fmt.Sprintf("%s@%s/%d", kc.Name, l.Network, l.Index)
+			pl, err := kc.Plan(spec, p)
 			if err != nil {
 				if !skip(label, err) {
 					ok = false
@@ -177,7 +135,7 @@ func sweep(all bool, visit func(label string, pl *ops.Plan), skip func(label str
 // raw (implicit-sync contract) and after AutoSync (explicit semantics).
 func lintKernels(out io.Writer, all bool) int {
 	status := 0
-	fmt.Fprintf(out, "%-38s %-30s %7s %6s %s\n", "KERNEL", "PROGRAM", "INSTRS", "DIAGS", "STATUS")
+	fmt.Fprintf(out, "%-44s %-30s %7s %6s %s\n", "KERNEL", "PROGRAM", "INSTRS", "DIAGS", "STATUS")
 	ok := sweep(all,
 		func(label string, pl *ops.Plan) {
 			n := report(out, label, pl.Prog, lint.CheckImplicit(pl.Prog))
@@ -189,10 +147,10 @@ func lintKernels(out io.Writer, all bool) int {
 		},
 		func(label string, err error) bool {
 			if kernelcases.IsCapacitySkip(err) {
-				fmt.Fprintf(out, "%-38s %-30s %7s %6s skip (%v)\n", label, "-", "-", "-", err)
+				fmt.Fprintf(out, "%-44s %-30s %7s %6s skip (%v)\n", label, "-", "-", "-", err)
 				return true
 			}
-			fmt.Fprintf(out, "%-38s %v\n", label, err)
+			fmt.Fprintf(out, "%-44s %v\n", label, err)
 			return false
 		})
 	if !ok {
@@ -216,7 +174,7 @@ func perfKernels(out io.Writer, all, jsonOut bool) int {
 	status := 0
 	var rows []perfRow
 	if !jsonOut {
-		fmt.Fprintf(out, "%-38s %7s %9s %9s %5s %5s %8s %6s\n",
+		fmt.Fprintf(out, "%-44s %7s %9s %9s %5s %5s %8s %6s\n",
 			"KERNEL", "INSTRS", "CRITPATH", "BUSYBND", "PAR", "OCC%", "STALL", "DIAGS")
 	}
 	ok := sweep(all,
@@ -228,7 +186,7 @@ func perfKernels(out io.Writer, all, jsonOut bool) int {
 			if jsonOut {
 				rows = append(rows, perfRow{Kernel: label, Program: pl.Prog.Name, Report: r})
 			} else {
-				fmt.Fprintf(out, "%-38s %7d %9d %9d %5.2f %4.0f%% %8d %6d\n",
+				fmt.Fprintf(out, "%-44s %7d %9d %9d %5.2f %4.0f%% %8d %6d\n",
 					label, r.Instrs, r.CritPath, r.BusyBound, r.Parallelism(),
 					100*r.Vector.MeanOccupancy, r.Sync.StallTotal, len(r.Diags))
 				for _, d := range r.Diags {
@@ -242,11 +200,11 @@ func perfKernels(out io.Writer, all, jsonOut bool) int {
 		func(label string, err error) bool {
 			if kernelcases.IsCapacitySkip(err) {
 				if !jsonOut {
-					fmt.Fprintf(out, "%-38s skip (%v)\n", label, err)
+					fmt.Fprintf(out, "%-44s skip (%v)\n", label, err)
 				}
 				return true
 			}
-			fmt.Fprintf(out, "%-38s %v\n", label, err)
+			fmt.Fprintf(out, "%-44s %v\n", label, err)
 			return false
 		})
 	if !ok {
@@ -280,7 +238,7 @@ func targetedDiag(msg string) bool {
 // diagnostic fails the gate.
 func optKernels(out io.Writer, all bool, level opt.Level) int {
 	status := 0
-	fmt.Fprintf(out, "%-38s %6s %6s %9s %9s %6s %5s %5s %s\n",
+	fmt.Fprintf(out, "%-44s %6s %6s %9s %9s %6s %5s %5s %s\n",
 		"KERNEL", "INSTRS", ">OPT", "CYCLES", ">OPT", "SAVED%", "TDIAG", ">OPT", "VERDICT")
 	layers := workloads.InceptionV3Fig7()
 	if all {
@@ -288,24 +246,24 @@ func optKernels(out io.Writer, all bool, level opt.Level) int {
 	}
 	for _, l := range layers {
 		p := l.Params()
-		for _, k := range builtinKernels() {
-			if k.direct && !smallest(layers, l) {
+		for _, kc := range kernelcases.All() {
+			if direct(kc) && !smallest(layers, l) {
 				continue
 			}
-			label := fmt.Sprintf("%s@%s/%d", k.name, l.Network, l.Index)
-			base, err := k.plan(ops.Spec{}, p)
+			label := fmt.Sprintf("%s@%s/%d", kc.Name, l.Network, l.Index)
+			base, err := kc.Plan(ops.Spec{}, p)
 			if err != nil {
 				if kernelcases.IsCapacitySkip(err) {
-					fmt.Fprintf(out, "%-38s skip (%v)\n", label, err)
+					fmt.Fprintf(out, "%-44s skip (%v)\n", label, err)
 					continue
 				}
-				fmt.Fprintf(out, "%-38s %v\n", label, err)
+				fmt.Fprintf(out, "%-44s %v\n", label, err)
 				status = 1
 				continue
 			}
-			pl, err := k.plan(ops.Spec{Opt: level}, p)
+			pl, err := kc.Plan(ops.Spec{Opt: level}, p)
 			if err != nil {
-				fmt.Fprintf(out, "%-38s optimizing compile: %v\n", label, err)
+				fmt.Fprintf(out, "%-44s optimizing compile: %v\n", label, err)
 				status = 1
 				continue
 			}
@@ -322,7 +280,7 @@ func optKernels(out io.Writer, all bool, level opt.Level) int {
 				}
 			}
 			if r == nil {
-				fmt.Fprintf(out, "%-38s optimizing spec produced no opt report\n", label)
+				fmt.Fprintf(out, "%-44s optimizing spec produced no opt report\n", label)
 				status = 1
 				continue
 			}
@@ -339,7 +297,7 @@ func optKernels(out io.Writer, all bool, level opt.Level) int {
 			if r.BaselineCycles > 0 {
 				pct = 100 * float64(r.Saved()) / float64(r.BaselineCycles)
 			}
-			fmt.Fprintf(out, "%-38s %6d %6d %9d %9d %5.1f%% %5d %5d %s\n",
+			fmt.Fprintf(out, "%-44s %6d %6d %9d %9d %5.1f%% %5d %5d %s\n",
 				label, r.BaselineInstrs, r.Instrs, r.BaselineCycles, r.Cycles, pct, before, after, verdict)
 			if r.SkippedReschedule != nil {
 				fmt.Fprintf(out, "    note: rescheduling skipped (%v)\n", r.SkippedReschedule)
@@ -361,7 +319,7 @@ func smallest(layers []workloads.CNNLayer, l workloads.CNNLayer) bool {
 
 func lintPrograms(out io.Writer, label string, progs []*cce.Program, check func(*cce.Program) []lint.Diagnostic) int {
 	status := 0
-	fmt.Fprintf(out, "%-38s %-30s %7s %6s %s\n", "KERNEL", "PROGRAM", "INSTRS", "DIAGS", "STATUS")
+	fmt.Fprintf(out, "%-44s %-30s %7s %6s %s\n", "KERNEL", "PROGRAM", "INSTRS", "DIAGS", "STATUS")
 	for _, prog := range progs {
 		if report(out, label, prog, check(prog)) > 0 {
 			status = 1
@@ -376,7 +334,7 @@ func report(out io.Writer, kernel string, prog *cce.Program, diags []lint.Diagno
 	if len(diags) > 0 {
 		verdict = "FAIL"
 	}
-	fmt.Fprintf(out, "%-38s %-30s %7d %6d %s\n", kernel, prog.Name, prog.Len(), len(diags), verdict)
+	fmt.Fprintf(out, "%-44s %-30s %7d %6d %s\n", kernel, prog.Name, prog.Len(), len(diags), verdict)
 	for _, d := range diags {
 		fmt.Fprintf(out, "    %s\n", d)
 	}

@@ -1,5 +1,6 @@
-// Command davinci-sim runs a single pooling kernel on the simulated device
-// with arbitrary parameters and prints the timing breakdown: total cycles,
+// Command davinci-sim runs one catalogue kernel (-kernel, see
+// internal/ops) on the simulated device with arbitrary parameters and
+// prints the timing breakdown: total cycles,
 // per-pipeline busy time and instruction counts — the hardware-counter
 // view of §VI. With -trace it also exports the attributed schedule as
 // Chrome trace-event JSON for Perfetto (https://ui.perfetto.dev), and with
@@ -11,11 +12,13 @@
 // schedule search (internal/sched) picks the schedule instead of the
 // hand-tuned default: the chosen ScheduleParams and the search summary
 // are printed, and the oracle-predicted cycles can be compared against
-// the simulated makespan on the line below.
+// the simulated makespan on the line below. Inputs are small random
+// integers, so every kernel verifies bit for bit against its golden
+// model.
 //
 // Example:
 //
-//	davinci-sim -op maxpool-fwd -variant im2col -h 147 -w 147 -c 64 -k 3 -s 2 -trace out.json
+//	davinci-sim -kernel maxpool_fwd/im2col -h 147 -w 147 -k 3 -s 2 -trace out.json
 package main
 
 import (
@@ -29,23 +32,21 @@ import (
 	"davinci/internal/buffer"
 	"davinci/internal/chip"
 	"davinci/internal/faults"
-	"davinci/internal/fp16"
 	"davinci/internal/isa"
+	"davinci/internal/kernelcases"
 	"davinci/internal/obs"
 	"davinci/internal/ops"
 	"davinci/internal/opt"
-	"davinci/internal/ref"
 	_ "davinci/internal/sched" // registers the autoscheduler -autosched dispatches to
 	"davinci/internal/tensor"
 	itrace "davinci/internal/trace"
 )
 
 func main() {
-	op := flag.String("op", "maxpool-fwd", "operator: maxpool-fwd, maxpool-argmax, maxpool-bwd, avgpool-fwd, avgpool-bwd")
-	variant := flag.String("variant", "im2col", "implementation variant (see -help text per op)")
+	kernel := flag.String("kernel", "maxpool_fwd/im2col", "catalogue kernel: maxpool_fwd/{standard,im2col,expansion,xysplit}, maxpool_fwd_argmax/{standard,im2col}, maxpool_bwd/{standard,col2im}, avgpool_fwd/{standard,im2col,cube}, avgpool_bwd/{standard,col2im}, conv2d, conv2d_bwd_data, conv2d_bwd_weights")
 	h := flag.Int("h", 35, "input height")
 	w := flag.Int("w", 35, "input width")
-	k := flag.Int("k", 3, "kernel size")
+	ksize := flag.Int("k", 3, "pooling window (convolution kernel) size")
 	s := flag.Int("s", 2, "stride")
 	pad := flag.Int("pad", 0, "zero padding on every side")
 	seed := flag.Int64("seed", 1, "input generator seed")
@@ -55,19 +56,27 @@ func main() {
 	gantt := flag.Bool("gantt", false, "print an ASCII per-pipeline timeline and the cycle accounting")
 	optLevel := flag.Int("opt", 0, "static optimizer level (0=off, 1=rewrites, 2=+rescheduling); prints the rewrite report")
 	autosched := flag.Bool("autosched", false, "search the schedule space (internal/sched) instead of using the hand-tuned default; prints the chosen ScheduleParams and predicted vs simulated cycles")
-	spans := flag.String("spans", "", "run on the multi-core chip with host-side span tracing and write the spans as JSONL to this file (- for stdout); supports maxpool-fwd and avgpool-fwd")
+	spans := flag.String("spans", "", "run on the multi-core chip with host-side span tracing and write the spans as JSONL to this file (- for stdout)")
 	cores := flag.Int("cores", 4, "AI cores in -spans chip mode")
 	batch := flag.Int("n", 1, "batch size in -spans chip mode")
-	channels := flag.Int("c", 64, "logical channels in -spans chip mode (c1 = ceil(c/16) tiles per image)")
+	channels := flag.Int("c", 64, "logical channels in -spans chip mode (c1 = ceil(c/16) tiles per image of a pooling kernel)")
 	chaos := flag.Bool("chaos", false, "with -spans: inject seeded faults and enable the tile executor's retries, so the trace shows retry/degrade causality")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-schedule seed for -chaos")
 	chaosRate := flag.Float64("chaos-rate", 0.2, "per-(tile,attempt) fault probability for -chaos")
 	chaosDegrade := flag.Bool("chaos-degrade", true, "with -chaos: degrade exhausted tiles to the host golden model instead of failing the run")
 	flag.Parse()
 
+	kern, err := ops.Lookup(*kernel)
+	if err != nil {
+		fatal(err)
+	}
+	p := isa.ConvParams{Ih: *h, Iw: *w, Kh: *ksize, Kw: *ksize, Sh: *s, Sw: *s, Pt: *pad, Pb: *pad, Pl: *pad, Pr: *pad}
+	if err := p.Validate(); err != nil {
+		fatal(err)
+	}
 	if *spans != "" {
 		if err := runChipTraced(chipOptions{
-			op: *op, variant: *variant, h: *h, w: *w, k: *k, s: *s, pad: *pad,
+			kern: kern, p: p,
 			seed: *seed, ub: *ub, verify: *verify, level: opt.Level(*optLevel),
 			autosched: *autosched, spans: *spans, trace: *trace,
 			cores: *cores, batch: *batch, channels: *channels,
@@ -78,25 +87,30 @@ func main() {
 		return
 	}
 
-	p := isa.ConvParams{Ih: *h, Iw: *w, Kh: *k, Kw: *k, Sh: *s, Sw: *s, Pt: *pad, Pb: *pad, Pl: *pad, Pr: *pad}
-	if err := p.Validate(); err != nil {
-		fatal(err)
-	}
-	rng := rand.New(rand.NewSource(*seed))
-	in := tensor.New(1, 1, *h, *w, tensor.C0)
-	in.FillRandom(rng, 8)
 	core := aicore.New(buffer.Config{UBSize: *ub}, nil)
 	if *trace != "" || *gantt {
 		core.Trace = &aicore.Trace{}
 	}
-
-	st, pl, err := dispatch(core, *op, *variant, in, p, *verify, opt.Level(*optLevel), *autosched)
+	spec := ops.SpecFor(core)
+	spec.Opt = opt.Level(*optLevel)
+	spec.AutoSchedule = *autosched
+	d := kernelcases.Dims(kern, p)
+	pl, err := kern.Compile(itrace.Ctx{}, spec, d)
 	if err != nil {
 		fatal(err)
 	}
-	oh, ow := p.OutDims()
-	fmt.Printf("op=%s variant=%s input=(%d,%d,%d) kernel=(%d,%d) stride=(%d,%d) pad=%d output=(%d,%d)\n",
-		*op, *variant, *h, *w, tensor.C0, *k, *k, *s, *s, *pad, oh, ow)
+	inputs := kernelcases.Tensors(kern, d, 1, 1, kernelcases.Ints(rand.New(rand.NewSource(*seed))))
+	outs, st, err := pl.Run(core, inputs...)
+	if err != nil {
+		fatal(err)
+	}
+	if *verify {
+		if err := verifyGolden(kern, d, inputs, outs); err != nil {
+			fatal(err)
+		}
+	}
+	fmt.Printf("kernel=%s input=%v window=(%d,%d) stride=(%d,%d) pad=%d output=%v\n",
+		kern.Name, inputs[0].Shape, *ksize, *ksize, *s, *s, *pad, outs[0].Shape)
 	fmt.Printf("cycles: %d\n", st.Cycles)
 	if r := pl.Perf; r != nil {
 		fmt.Printf("static bounds: %d (pipe occupancy) <= cycles <= %d (critical path)\n", r.BusyBound, r.CritPath)
@@ -153,8 +167,8 @@ func main() {
 
 // chipOptions parameterizes the -spans chip-mode run.
 type chipOptions struct {
-	op, variant            string
-	h, w, k, s, pad        int
+	kern                   *ops.Kernel
+	p                      isa.ConvParams
 	seed                   int64
 	ub                     int
 	verify                 bool
@@ -174,10 +188,6 @@ type chipOptions struct {
 // merged with tile (0,0)'s cycle-accurate pipe schedule into one
 // Perfetto file.
 func runChipTraced(o chipOptions) error {
-	p := isa.ConvParams{Ih: o.h, Iw: o.w, Kh: o.k, Kw: o.k, Sh: o.s, Sw: o.s, Pt: o.pad, Pb: o.pad, Pl: o.pad, Pr: o.pad}
-	if err := p.Validate(); err != nil {
-		return err
-	}
 	tracer := itrace.New()
 	cfg := chip.Config{
 		Cores:        o.cores,
@@ -208,46 +218,19 @@ func runChipTraced(o chipOptions) error {
 	}
 	dev := chip.New(cfg)
 
-	rng := rand.New(rand.NewSource(o.seed))
-	c1 := tensor.C1Of(o.channels)
-	in := tensor.New(o.batch, c1, o.h, o.w, tensor.C0)
-	in.FillRandom(rng, 8)
-
-	var (
-		out    *tensor.Tensor
-		st     *chip.Stats
-		err    error
-		refFor func(tile *tensor.Tensor) *tensor.Tensor
-	)
-	switch o.op {
-	case "maxpool-fwd":
-		out, st, err = dev.MaxPoolForward(o.variant, in, p)
-		refFor = func(tile *tensor.Tensor) *tensor.Tensor { return ref.MaxPoolForward(tile, p) }
-	case "avgpool-fwd":
-		out, st, err = dev.AvgPoolForward(o.variant, in, p)
-		refFor = func(tile *tensor.Tensor) *tensor.Tensor { return ref.AvgPoolForward(tile, p) }
-	default:
-		return fmt.Errorf("-spans chip mode supports maxpool-fwd and avgpool-fwd, not %q", o.op)
-	}
+	d := kernelcases.Dims(o.kern, o.p)
+	inputs := kernelcases.Tensors(o.kern, d, o.batch, tensor.C1Of(o.channels), kernelcases.Ints(rand.New(rand.NewSource(o.seed))))
+	outs, st, err := dev.Run(o.kern.Name, d, inputs...)
 	if err != nil {
 		return err
 	}
 	if o.verify {
-		for ni := 0; ni < o.batch; ni++ {
-			for ci := 0; ci < c1; ci++ {
-				want := refFor(tensor.SliceC1(in, ni, ci))
-				got := tensor.SliceC1(out, ni, ci)
-				if d := tensor.MaxAbsDiff(got, want); d != 0 {
-					return fmt.Errorf("tile (%d,%d) diverges from reference (max diff %v)", ni, ci, d)
-				}
-			}
+		if err := verifyGolden(o.kern, d, inputs, outs); err != nil {
+			return err
 		}
-		fmt.Printf("verified: all %d tiles match the reference model\n", o.batch*c1)
 	}
-
-	oh, ow := p.OutDims()
-	fmt.Printf("op=%s variant=%s input=(%d,%d,%d,%d,%d) kernel=(%d,%d) stride=(%d,%d) pad=%d output=(%d,%d) cores=%d\n",
-		o.op, o.variant, o.batch, c1, o.h, o.w, tensor.C0, o.k, o.k, o.s, o.s, o.pad, oh, ow, o.cores)
+	fmt.Printf("kernel=%s input=%v window=(%d,%d) stride=(%d,%d) output=%v cores=%d\n",
+		o.kern.Name, inputs[0].Shape, o.p.Kh, o.p.Kw, o.p.Sh, o.p.Sw, outs[0].Shape, o.cores)
 	fmt.Printf("chip cycles: %d over %d tiles\n", st.Cycles, st.Tiles)
 	if len(st.Degraded) > 0 {
 		fmt.Printf("degraded tiles (host golden model): %d\n", len(st.Degraded))
@@ -308,100 +291,16 @@ func writeSpans(path string, spans []itrace.Span) error {
 	return f.Close()
 }
 
-// dispatch compiles the requested kernel once through the Plan API,
-// replays it on the core, and verifies the outputs against the
-// reference model.
-func dispatch(core *aicore.Core, op, variant string, in *tensor.Tensor, p isa.ConvParams, verify bool, level opt.Level, autosched bool) (*aicore.Stats, *ops.Plan, error) {
-	check := func(got, want *tensor.Tensor, what string) error {
-		if !verify {
-			return nil
-		}
-		if d := tensor.MaxAbsDiff(got, want); d != 0 {
-			return fmt.Errorf("%s diverges from reference (max diff %v)", what, d)
-		}
-		fmt.Printf("verified: %s matches the reference model\n", what)
-		return nil
-	}
-	spec := ops.SpecFor(core)
-	spec.Opt = level
-	spec.AutoSchedule = autosched
-	var (
-		pl     *ops.Plan
-		err    error
-		inputs []*tensor.Tensor
-		refs   []*tensor.Tensor
-		whats  []string
-	)
-	switch op {
-	case "maxpool-fwd":
-		if pl, err = ops.PlanMaxPoolForward(variant, spec, p); err != nil {
-			return nil, nil, err
-		}
-		inputs = []*tensor.Tensor{in}
-		refs, whats = []*tensor.Tensor{ref.MaxPoolForward(in, p)}, []string{"output"}
-	case "maxpool-argmax":
-		if pl, err = ops.PlanMaxPoolForwardArgmax(variant, spec, p); err != nil {
-			return nil, nil, err
-		}
-		inputs = []*tensor.Tensor{in}
-		refs = []*tensor.Tensor{ref.MaxPoolForward(in, p), ref.ArgmaxMask(in, p)}
-		whats = []string{"output", "argmax mask"}
-	case "maxpool-bwd":
-		if pl, err = ops.PlanMaxPoolBackward(variant, spec, p); err != nil {
-			return nil, nil, err
-		}
-		mask := ref.ArgmaxMask(in, p)
-		grad := intGradient(p)
-		inputs = []*tensor.Tensor{mask, grad}
-		refs = []*tensor.Tensor{ref.MaxPoolBackward(mask, grad, p, p.Ih, p.Iw)}
-		whats = []string{"gradient"}
-	case "avgpool-fwd":
-		if pl, err = ops.PlanAvgPoolForward(variant, spec, p); err != nil {
-			return nil, nil, err
-		}
-		inputs = []*tensor.Tensor{in}
-		refs, whats = []*tensor.Tensor{ref.AvgPoolForward(in, p)}, []string{"output"}
-	case "avgpool-bwd":
-		useCol2im := variant == "col2im"
-		if !useCol2im && variant != "standard" {
-			return nil, nil, fmt.Errorf("avgpool-bwd variants: standard, col2im")
-		}
-		if pl, err = ops.PlanAvgPoolBackward(spec, p, useCol2im); err != nil {
-			return nil, nil, err
-		}
-		grad := intGradient(p)
-		inputs = []*tensor.Tensor{grad}
-		refs = []*tensor.Tensor{ref.AvgPoolBackward(grad, p, p.Ih, p.Iw)}
-		whats = []string{"gradient"}
-	default:
-		return nil, nil, fmt.Errorf("unknown op %q", op)
-	}
-	outs, st, err := pl.Run(core, inputs...)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, want := range refs {
-		if err := check(outs[i], want, whats[i]); err != nil {
-			return nil, nil, err
+// verifyGolden checks a run's outputs against the kernel's golden model
+// on the same inputs, bit for bit.
+func verifyGolden(k *ops.Kernel, d ops.Dims, inputs, outs []*tensor.Tensor) error {
+	for i, want := range k.Golden(d, inputs) {
+		if diff := tensor.MaxAbsDiff(outs[i], want); diff != 0 {
+			return fmt.Errorf("%s output %d diverges from the golden model (max diff %v)", k.Name, i, diff)
 		}
 	}
-	return st, pl, nil
-}
-
-// intGradient builds a small-integer-valued gradient tensor. Integer
-// values keep Float16 accumulation exact, so the backward kernels verify
-// bit-identically against the reference regardless of band boundaries
-// (Float16 addition is not associative; schedules with different band
-// splits legitimately differ by ULPs on arbitrary values, on real hardware
-// as much as here).
-func intGradient(p isa.ConvParams) *tensor.Tensor {
-	oh, ow := p.OutDims()
-	grad := tensor.New(1, 1, oh, ow, tensor.C0)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < grad.Len(); i++ {
-		grad.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(8))))
-	}
-	return grad
+	fmt.Printf("verified: %s matches the golden model\n", k.Name)
+	return nil
 }
 
 func fatal(err error) {

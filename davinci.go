@@ -158,23 +158,21 @@ func ToNCHW(t *Tensor, c int) *Tensor { return tensor.FromFractal(t, c) }
 // NewNCHW allocates a zero NCHW tensor.
 func NewNCHW(n, c, h, w int) *Tensor { return tensor.NewNCHW(n, c, h, w) }
 
-// ForwardVariants lists the forward Maxpool implementations ("standard",
-// "im2col", "expansion", "xysplit") in a stable order.
-func ForwardVariants() []string { return []string{"standard", "im2col", "expansion", "xysplit"} }
+// KernelDims is what a kernel is compiled for: the layer parameters and,
+// for the convolutions, the output and input channel counts. Device.Run
+// takes it.
+type KernelDims = ops.Dims
 
-// ArgmaxVariants lists the forward-with-mask implementations.
-func ArgmaxVariants() []string { return []string{"standard", "im2col"} }
-
-// BackwardVariants lists the backward implementations.
-func BackwardVariants() []string { return []string{"standard", "col2im"} }
-
-// AvgVariants lists the Avgpool forward implementations.
-func AvgVariants() []string { return []string{"standard", "im2col", "cube"} }
-
-// PackWeightsFractal converts (Co, C, Kh, Kw) convolution weights into the
-// Cube unit's fractal operand layout (done offline by frameworks).
-func PackWeightsFractal(w *Tensor, p PoolParams) *Tensor {
-	return ops.PackWeightsFractal(w, p)
+// Kernels lists every built-in kernel by the name Device.Run takes, in a
+// stable order: "maxpool_fwd/standard", "maxpool_fwd/im2col", ...,
+// "conv2d_bwd_weights". The part after "/" is the variant the typed
+// Device methods take.
+func Kernels() []string {
+	var names []string
+	for _, k := range ops.Kernels() {
+		names = append(names, k.Name)
+	}
+	return names
 }
 
 // Network building blocks (see internal/nn): a Sequential stack of

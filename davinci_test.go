@@ -1,7 +1,9 @@
 package davinci
 
 import (
+	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"davinci/internal/ref"
@@ -50,18 +52,35 @@ func TestPooling2DBuilders(t *testing.T) {
 }
 
 func TestVariantLists(t *testing.T) {
-	if len(ForwardVariants()) != 4 || len(ArgmaxVariants()) != 2 ||
-		len(BackwardVariants()) != 2 || len(AvgVariants()) != 3 {
-		t.Error("variant lists wrong")
+	names := Kernels()
+	if len(names) != 16 {
+		t.Fatalf("Kernels() lists %d kernels, want 16: %v", len(names), names)
 	}
 	dev := NewDevice(ChipConfig{Cores: 1})
 	rng := rand.New(rand.NewSource(3))
 	in := NewRandomInput(rng, 1, 16, 12, 12, 4)
 	p := WithInput(Pooling2D(2, 2, 0), 12, 12)
-	for _, v := range ForwardVariants() {
-		if _, _, err := dev.MaxPoolForward(v, in, p); err != nil {
-			t.Errorf("variant %s: %v", v, err)
+	forward := 0
+	for _, name := range names {
+		variant, ok := strings.CutPrefix(name, "maxpool_fwd/")
+		if !ok {
+			continue
 		}
+		forward++
+		want, _, err := dev.MaxPoolForward(variant, in, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		outs, _, err := dev.Run(name, KernelDims{P: p}, in)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(outs[0].Data, want.Data) {
+			t.Errorf("%s: Run and MaxPoolForward disagree", name)
+		}
+	}
+	if forward != 4 {
+		t.Errorf("%d forward Maxpool variants listed, want 4", forward)
 	}
 }
 

@@ -39,22 +39,18 @@ func main() {
 
 	// Compile the four kernels once; the loop replays the cached plans.
 	spec := ops.SpecFor(core)
-	convPl, err := ops.PlanConv2D(spec, convP, ch, ch)
-	if err != nil {
-		log.Fatal(err)
+	compile := func(kernel string, d ops.Dims) *ops.Plan {
+		pl, err := ops.Compile(kernel, spec, d)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return pl
 	}
-	poolPl, err := ops.PlanMaxPoolForwardArgmax("im2col", spec, poolP)
-	if err != nil {
-		log.Fatal(err)
-	}
-	poolBwdPl, err := ops.PlanMaxPoolBackward("col2im", spec, poolP)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dwPl, err := ops.PlanConv2DBackwardWeights(spec, convP, ch, ch)
-	if err != nil {
-		log.Fatal(err)
-	}
+	convD := ops.Dims{P: convP, Co: ch, C: ch}
+	convPl := compile("conv2d", convD)
+	poolPl := compile("maxpool_fwd_argmax/im2col", ops.Dims{P: poolP})
+	poolBwdPl := compile("maxpool_bwd/col2im", ops.Dims{P: poolP})
+	dwPl := compile("conv2d_bwd_weights", convD)
 
 	x := tensor.New(1, 1, ih, iw, tensor.C0)
 	x.FillRandom(rng, 0.5)

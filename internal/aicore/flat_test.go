@@ -83,7 +83,7 @@ func TestFlatMatchesInterpreterEveryKernel(t *testing.T) {
 // flattened on its first memoized replay.
 func TestFlatGatherFusion(t *testing.T) {
 	p := isa.ConvParams{Ih: 147, Iw: 147, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
-	pl, err := ops.PlanMaxPoolForward("im2col", ops.Spec{}, p)
+	pl, err := ops.Compile("maxpool_fwd/im2col", ops.Spec{}, ops.Dims{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
-	"davinci/internal/isa"
 	"davinci/internal/ops"
+	"davinci/internal/trace"
 	"davinci/internal/workloads"
 )
 
@@ -22,36 +23,21 @@ func PerfTable(o Options) (*Table, error) {
 		Note:       "static bounds and utilization from the compiled programs (no simulation)",
 		Columns:    []string{"instrs", "crit path", "busy bound", "mean repeat", "lane occ %", "warnings"},
 	}
-	kernels := []struct {
-		name string
-		plan func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error)
-	}{
-		{"maxpool-fwd/standard", func(s ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-			return ops.PlanMaxPoolForward("standard", s, p)
-		}},
-		{"maxpool-fwd/im2col", func(s ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-			return ops.PlanMaxPoolForward("im2col", s, p)
-		}},
-		{"maxpool-argmax/standard", func(s ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-			return ops.PlanMaxPoolForwardArgmax("standard", s, p)
-		}},
-		{"maxpool-argmax/im2col", func(s ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-			return ops.PlanMaxPoolForwardArgmax("im2col", s, p)
-		}},
-		{"maxpool-bwd/standard", func(s ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-			return ops.PlanMaxPoolBackward("standard", s, p)
-		}},
-		{"maxpool-bwd/col2im", func(s ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-			return ops.PlanMaxPoolBackward("col2im", s, p)
-		}},
-	}
+	// The Fig. 7 Maxpool kernels, standard lowerings against their
+	// Im2col/Col2im counterparts, under their historical row labels.
+	fig7 := map[string]bool{"maxpool_fwd": true, "maxpool_fwd_argmax": true, "maxpool_bwd": true}
+	label := strings.NewReplacer("_fwd_argmax", "-argmax", "_", "-")
 	spec := ops.Spec{Buffers: o.Chip.Buffers}
 	for _, l := range workloads.InceptionV3Fig7() {
 		p := l.Params()
-		for _, k := range kernels {
-			pl, err := k.plan(spec, p)
+		for _, k := range ops.Kernels() {
+			if !fig7[k.Family] || k.Mode == "expansion" || k.Mode == "xysplit" {
+				continue
+			}
+			name := label.Replace(k.Name)
+			pl, err := k.Compile(trace.Ctx{}, spec, ops.Dims{P: p})
 			if err != nil {
-				return nil, fmt.Errorf("perf: %s %dx%d: %w", k.name, l.H, l.W, err)
+				return nil, fmt.Errorf("perf: %s %dx%d: %w", name, l.H, l.W, err)
 			}
 			r := pl.Perf
 			meanRepeat := 0.0
@@ -59,7 +45,7 @@ func PerfTable(o Options) (*Table, error) {
 				meanRepeat = float64(r.Vector.Repeats) / float64(r.Vector.Instrs)
 			}
 			t.Rows = append(t.Rows, Row{
-				Label: fmt.Sprintf("%s %dx%dx%d", k.name, l.H, l.W, l.C),
+				Label: fmt.Sprintf("%s %dx%dx%d", name, l.H, l.W, l.C),
 				Values: []float64{
 					float64(r.Instrs),
 					float64(r.CritPath),

@@ -27,7 +27,6 @@ import (
 	"davinci/internal/obs"
 	"davinci/internal/ops"
 	"davinci/internal/opt"
-	"davinci/internal/ref"
 	_ "davinci/internal/sched" // registers the autoscheduler Config.AutoSchedule dispatches to
 	"davinci/internal/tensor"
 	"davinci/internal/trace"
@@ -311,7 +310,7 @@ type tileRun func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stat
 // tileFallback computes one tile on the host-side golden model
 // (internal/ref), for graceful degradation when hardware retries are
 // exhausted.
-type tileFallback func(ni, ci int) ([]*tensor.Tensor, error)
+type tileFallback func(ni, ci int) []*tensor.Tensor
 
 // runScope threads one entry-point invocation's trace context through
 // the tile executors: the chip_run span, the plan_lookup span's ID (the
@@ -409,331 +408,156 @@ func (rs *runScope) end(st *Stats, err error) {
 	rs.span.End()
 }
 
-func checkFractalInput(in *tensor.Tensor) (n, c1 int, err error) {
-	if len(in.Shape) != 5 || in.Shape[4] != tensor.C0 {
-		return 0, 0, fmt.Errorf("chip: want an NC1HWC0 tensor, got %v", in.Shape)
-	}
-	return in.Shape[0], in.Shape[1], nil
-}
-
-// MaxPoolForward runs a forward Maxpool variant ("standard", "im2col",
-// "expansion" or "xysplit") over a full NC1HWC0 tensor. The variant is
-// compiled once through the chip's plan cache, then replayed per tile.
-func (c *Chip) MaxPoolForward(variant string, in *tensor.Tensor, p isa.ConvParams) (out *tensor.Tensor, st *Stats, err error) {
-	rs := c.beginRun("maxpool_fwd_" + variant)
-	defer func() { rs.end(st, err) }()
-	if err := p.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) {
-		return c.plans.MaxPoolForward(ct, variant, c.spec, p)
-	})
+// Run runs catalogue kernel name (ops.Lookup) over whole tensors. It
+// checks every input against the kernel's shapes for d before anything
+// compiles or runs, compiles the kernel once through the chip's plan
+// cache, replays the plan on every tile of the grid the inputs span —
+// (N, C1) for the pooling kernels, N for the convolutions — and
+// assembles the outputs as the catalogue says. A tile that exhausts its
+// hardware attempts under Resilience.Degrade is computed by the kernel's
+// golden model.
+func (c *Chip) Run(kernel string, d ops.Dims, inputs ...*tensor.Tensor) (outs []*tensor.Tensor, st *Stats, err error) {
+	k, err := ops.Lookup(kernel)
 	if err != nil {
 		return nil, nil, fmt.Errorf("chip: %w", err)
 	}
-	return c.poolForward(rs, pl, in, p, func(ni, ci int) ([]*tensor.Tensor, error) {
-		return []*tensor.Tensor{ref.MaxPoolForward(tensor.SliceC1(in, ni, ci), p)}, nil
+	rs := c.beginRun(k.Program)
+	defer func() { rs.end(st, err) }()
+	if err := d.P.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("chip: %w", err)
+	}
+	n, c1, err := k.Grid(d, inputs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("chip: %w", err)
+	}
+	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) { return c.plans.Plan(ct, k, c.spec, d) })
+	if err != nil {
+		return nil, nil, fmt.Errorf("chip: %w", err)
+	}
+	shapes := make([][]int, len(k.Inputs))
+	for i, in := range k.Inputs {
+		if in.Tiling != ops.Shared {
+			shapes[i] = in.Shape(d)
+		}
+	}
+	// tile returns the inputs of tile (ni, ci): the tile is run ni*c1+ci of
+	// every tiled input, N-major as the layouts are.
+	tile := func(ni, ci int) []*tensor.Tensor {
+		ts := make([]*tensor.Tensor, len(inputs))
+		for i, t := range inputs {
+			ts[i] = t
+			if shapes[i] != nil {
+				ts[i] = tensor.New(shapes[i]...)
+				copy(ts[i].Data, t.Data[(ni*c1+ci)*len(ts[i].Data):])
+			}
+		}
+		return ts
+	}
+	results, stats, err := c.runTiles(rs, n, c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+		return pl.Run(core, tile(ni, ci)...)
+	}, func(ni, ci int) []*tensor.Tensor {
+		return k.Golden(d, tile(ni, ci))
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	outs = make([]*tensor.Tensor, len(k.Outputs))
+	for i, o := range k.Outputs {
+		shape := o.Shape(d)
+		if o.Assembly == ops.PerTile {
+			// A tile's result is 1 in the grid's dimensions (and c1 is 1
+			// for a kernel tiled by image).
+			shape[0], shape[1] = n, shape[1]*c1
+		}
+		outs[i] = tensor.New(shape...)
+	}
+	for _, rs := range results {
+		for _, r := range rs {
+			for i, o := range k.Outputs {
+				if o.Assembly == ops.BatchSum {
+					fp16.AddSlice(outs[i].Data, outs[i].Data, r.outs[i].Data)
+					continue
+				}
+				b := r.outs[i].Bytes()
+				copy(outs[i].Data[(r.n*c1+r.c1)*b:], r.outs[i].Data)
+			}
+		}
+	}
+	return outs, stats, nil
+}
+
+// first returns a single-output kernel's result.
+func first(outs []*tensor.Tensor, st *Stats, err error) (*tensor.Tensor, *Stats, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return outs[0], st, nil
+}
+
+// weightDims returns the (Co, C) of (Co, C, Kh, Kw) weights; any other
+// rank gives zeros, which Run's shape check rejects.
+func weightDims(w *tensor.Tensor) (co, c int) {
+	if len(w.Shape) != 4 {
+		return 0, 0
+	}
+	return w.Shape[0], w.Shape[1]
+}
+
+// MaxPoolForward runs a forward Maxpool variant ("standard", "im2col",
+// "expansion" or "xysplit") over an NC1HWC0 tensor.
+func (c *Chip) MaxPoolForward(variant string, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *Stats, error) {
+	return first(c.Run("maxpool_fwd/"+variant, ops.Dims{P: p}, in))
 }
 
 // AvgPoolForward runs a forward Avgpool variant ("standard", "im2col" or
 // "cube").
-func (c *Chip) AvgPoolForward(variant string, in *tensor.Tensor, p isa.ConvParams) (out *tensor.Tensor, st *Stats, err error) {
-	rs := c.beginRun("avgpool_fwd_" + variant)
-	defer func() { rs.end(st, err) }()
-	if err := p.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) {
-		return c.plans.AvgPoolForward(ct, variant, c.spec, p)
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	return c.poolForward(rs, pl, in, p, func(ni, ci int) ([]*tensor.Tensor, error) {
-		return []*tensor.Tensor{ref.AvgPoolForward(tensor.SliceC1(in, ni, ci), p)}, nil
-	})
-}
-
-func (c *Chip) poolForward(rs *runScope, pl *ops.Plan, in *tensor.Tensor, p isa.ConvParams, fb tileFallback) (*tensor.Tensor, *Stats, error) {
-	n, c1, err := checkFractalInput(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	oh, ow := p.OutDims()
-	out := tensor.New(n, c1, oh, ow, tensor.C0)
-	results, stats, err := c.runTiles(rs, n, c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
-		return pl.Run(core, tensor.SliceC1(in, ni, ci))
-	}, fb)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, rs := range results {
-		for _, r := range rs {
-			tensor.StoreC1(out, r.outs[0], r.n, r.c1)
-		}
-	}
-	return out, stats, nil
+func (c *Chip) AvgPoolForward(variant string, in *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *Stats, error) {
+	return first(c.Run("avgpool_fwd/"+variant, ops.Dims{P: p}, in))
 }
 
 // MaxPoolForwardArgmax runs a Fig. 7b variant ("standard" or "im2col"),
 // returning the pooled output and the argmax mask in the Im2Col shape
 // (N, C1, Kh, Kw, OhOw16, C0).
 func (c *Chip) MaxPoolForwardArgmax(variant string, in *tensor.Tensor, p isa.ConvParams) (out, mask *tensor.Tensor, st *Stats, err error) {
-	rs := c.beginRun("maxpool_fwd_argmax_" + variant)
-	defer func() { rs.end(st, err) }()
-	if err := p.Validate(); err != nil {
-		return nil, nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) {
-		return c.plans.MaxPoolForwardArgmax(ct, variant, c.spec, p)
-	})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	n, c1, err := checkFractalInput(in)
+	outs, st, err := c.Run("maxpool_fwd_argmax/"+variant, ops.Dims{P: p}, in)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	oh, ow := p.OutDims()
-	out = tensor.New(n, c1, oh, ow, tensor.C0)
-	mask = tensor.New(n, c1, p.Kh, p.Kw, p.PaddedPatches(), tensor.C0)
-	results, stats, err := c.runTiles(rs, n, c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
-		return pl.Run(core, tensor.SliceC1(in, ni, ci))
-	}, func(ni, ci int) ([]*tensor.Tensor, error) {
-		tile := tensor.SliceC1(in, ni, ci)
-		return []*tensor.Tensor{ref.MaxPoolForward(tile, p), ref.ArgmaxMask(tile, p)}, nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for _, rs := range results {
-		for _, r := range rs {
-			tensor.StoreC1(out, r.outs[0], r.n, r.c1)
-			tensor.StoreOuter2(mask, r.outs[1], r.n, r.c1)
-		}
-	}
-	return out, mask, stats, nil
+	return outs[0], outs[1], st, nil
 }
 
 // MaxPoolBackward runs a Fig. 7c variant ("standard" or "col2im"). mask is
 // the saved argmax mask; grad has the output shape (N, C1, Oh, Ow, C0).
 // The result has the input shape (N, C1, Ih, Iw, C0).
-func (c *Chip) MaxPoolBackward(variant string, mask, grad *tensor.Tensor, p isa.ConvParams) (out *tensor.Tensor, st *Stats, err error) {
-	rs := c.beginRun("maxpool_bwd_" + variant)
-	defer func() { rs.end(st, err) }()
-	if err := p.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) {
-		return c.plans.MaxPoolBackward(ct, variant, c.spec, p)
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	if len(mask.Shape) != 6 {
-		return nil, nil, fmt.Errorf("chip: want a 6-d argmax mask, got %v", mask.Shape)
-	}
-	n, c1 := mask.Shape[0], mask.Shape[1]
-	out = tensor.New(n, c1, p.Ih, p.Iw, tensor.C0)
-	results, stats, err := c.runTiles(rs, n, c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
-		return pl.Run(core, tensor.SliceOuter2(mask, ni, ci), tensor.SliceC1(grad, ni, ci))
-	}, func(ni, ci int) ([]*tensor.Tensor, error) {
-		mg := ref.MaxPoolBackward(tensor.SliceOuter2(mask, ni, ci), tensor.SliceC1(grad, ni, ci), p, p.Ih, p.Iw)
-		return []*tensor.Tensor{mg}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, rs := range results {
-		for _, r := range rs {
-			tensor.StoreC1(out, r.outs[0], r.n, r.c1)
-		}
-	}
-	return out, stats, nil
+func (c *Chip) MaxPoolBackward(variant string, mask, grad *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *Stats, error) {
+	return first(c.Run("maxpool_bwd/"+variant, ops.Dims{P: p}, mask, grad))
 }
 
-// AvgPoolBackward propagates Avgpool gradients (useCol2im selects the
-// accelerated merge, §V-C).
-func (c *Chip) AvgPoolBackward(grad *tensor.Tensor, p isa.ConvParams, useCol2im bool) (out *tensor.Tensor, st *Stats, err error) {
-	kernel := "avgpool_bwd_standard"
-	if useCol2im {
-		kernel = "avgpool_bwd_col2im"
-	}
-	rs := c.beginRun(kernel)
-	defer func() { rs.end(st, err) }()
-	if err := p.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) {
-		return c.plans.AvgPoolBackward(ct, c.spec, p, useCol2im)
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	n, c1, err := checkFractalInput(grad)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = tensor.New(n, c1, p.Ih, p.Iw, tensor.C0)
-	results, stats, err := c.runTiles(rs, n, c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
-		return pl.Run(core, tensor.SliceC1(grad, ni, ci))
-	}, func(ni, ci int) ([]*tensor.Tensor, error) {
-		return []*tensor.Tensor{ref.AvgPoolBackward(tensor.SliceC1(grad, ni, ci), p, p.Ih, p.Iw)}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, rs := range results {
-		for _, r := range rs {
-			tensor.StoreC1(out, r.outs[0], r.n, r.c1)
-		}
-	}
-	return out, stats, nil
+// AvgPoolBackward propagates Avgpool gradients with variant "standard"
+// (vadd merge) or "col2im" (the accelerated merge, §V-C).
+func (c *Chip) AvgPoolBackward(variant string, grad *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *Stats, error) {
+	return first(c.Run("avgpool_bwd/"+variant, ops.Dims{P: p}, grad))
 }
 
-// Conv2D runs convolution on the Cube unit. The channel reduction needs
-// the whole C1 extent on one core, so parallelization is across the batch
-// dimension only.
-func (c *Chip) Conv2D(in, weights *tensor.Tensor, p isa.ConvParams) (out *tensor.Tensor, st *Stats, err error) {
-	rs := c.beginRun("conv2d_im2col_cube")
-	defer func() { rs.end(st, err) }()
-	if err := p.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	if len(weights.Shape) != 4 || weights.Shape[2] != p.Kh || weights.Shape[3] != p.Kw {
-		return nil, nil, fmt.Errorf("chip: want (Co,C,%d,%d) weights, got %v", p.Kh, p.Kw, weights.Shape)
-	}
-	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) {
-		return c.plans.Conv2D(ct, c.spec, p, weights.Shape[0], weights.Shape[1])
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	n, _, err := checkFractalInput(in)
-	if err != nil {
-		return nil, nil, err
-	}
-	co1 := tensor.C1Of(weights.Shape[0])
-	oh, ow := p.OutDims()
-	out = tensor.New(n, co1, oh, ow, tensor.C0)
-	imgBytes := in.Shape[1] * p.Ih * p.Iw * tensor.C0 * 2
-	sliceImg := func(ni int) *tensor.Tensor {
-		img := tensor.New(1, in.Shape[1], p.Ih, p.Iw, tensor.C0)
-		copy(img.Data, in.Data[ni*imgBytes:(ni+1)*imgBytes])
-		return img
-	}
-	results, stats, err := c.runTiles(rs, n, 1, func(core *aicore.Core, ni, _ int) ([]*tensor.Tensor, *aicore.Stats, error) {
-		return pl.Run(core, sliceImg(ni), weights)
-	}, func(ni, _ int) ([]*tensor.Tensor, error) {
-		return []*tensor.Tensor{ref.Conv2D(sliceImg(ni), weights, p)}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, rs := range results {
-		for _, r := range rs {
-			off := r.n * r.outs[0].Bytes()
-			copy(out.Data[off:off+r.outs[0].Bytes()], r.outs[0].Data)
-		}
-	}
-	return out, stats, nil
+// Conv2D runs convolution on the Cube unit with (Co, C, Kh, Kw) weights.
+// The channel reduction needs the whole C1 extent on one core, so tiles
+// split the batch only.
+func (c *Chip) Conv2D(in, weights *tensor.Tensor, p isa.ConvParams) (*tensor.Tensor, *Stats, error) {
+	co, ch := weightDims(weights)
+	return first(c.Run("conv2d", ops.Dims{P: p, Co: co, C: ch}, in, weights))
 }
 
 // Conv2DBackwardData propagates convolution gradients to the layer input
-// (batch-parallel across cores, like Conv2D). c is the logical input
-// channel count.
-func (c *Chip) Conv2DBackwardData(grad, weights *tensor.Tensor, p isa.ConvParams, channels int) (out *tensor.Tensor, st *Stats, err error) {
-	rs := c.beginRun("conv2d_bwd_data")
-	defer func() { rs.end(st, err) }()
-	if err := p.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	if len(weights.Shape) != 4 || weights.Shape[2] != p.Kh || weights.Shape[3] != p.Kw {
-		return nil, nil, fmt.Errorf("chip: want (Co,C,%d,%d) weights, got %v", p.Kh, p.Kw, weights.Shape)
-	}
-	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) {
-		return c.plans.Conv2DBackwardData(ct, c.spec, p, weights.Shape[0], channels)
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	n, _, err := checkFractalInput(grad)
-	if err != nil {
-		return nil, nil, err
-	}
-	c1 := tensor.C1Of(channels)
-	out = tensor.New(n, c1, p.Ih, p.Iw, tensor.C0)
-	oh, ow := p.OutDims()
-	gradBytes := grad.Shape[1] * oh * ow * tensor.C0 * 2
-	sliceGrad := func(ni int) *tensor.Tensor {
-		g := tensor.New(1, grad.Shape[1], oh, ow, tensor.C0)
-		copy(g.Data, grad.Data[ni*gradBytes:(ni+1)*gradBytes])
-		return g
-	}
-	results, stats, err := c.runTiles(rs, n, 1, func(core *aicore.Core, ni, _ int) ([]*tensor.Tensor, *aicore.Stats, error) {
-		return pl.Run(core, sliceGrad(ni), weights)
-	}, func(ni, _ int) ([]*tensor.Tensor, error) {
-		return []*tensor.Tensor{ref.Conv2DBackwardData(sliceGrad(ni), weights, p, channels)}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, rs := range results {
-		for _, r := range rs {
-			off := r.n * r.outs[0].Bytes()
-			copy(out.Data[off:off+r.outs[0].Bytes()], r.outs[0].Data)
-		}
-	}
-	return out, stats, nil
+// (batch-parallel, like Conv2D). channels is the logical input channel
+// count.
+func (c *Chip) Conv2DBackwardData(grad, weights *tensor.Tensor, p isa.ConvParams, channels int) (*tensor.Tensor, *Stats, error) {
+	co, _ := weightDims(weights)
+	return first(c.Run("conv2d_bwd_data", ops.Dims{P: p, Co: co, C: channels}, grad, weights))
 }
 
 // Conv2DBackwardWeights computes the convolution weight gradient
-// dW = dY^T x im2col(x), summing contributions over the batch. co and
-// channels are the logical output/input channel counts.
-func (c *Chip) Conv2DBackwardWeights(grad, x *tensor.Tensor, p isa.ConvParams, co, channels int) (dw *tensor.Tensor, st *Stats, err error) {
-	rs := c.beginRun("conv2d_bwd_weights")
-	defer func() { rs.end(st, err) }()
-	if err := p.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) {
-		return c.plans.Conv2DBackwardWeights(ct, c.spec, p, co, channels)
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
-	}
-	n, _, err := checkFractalInput(grad)
-	if err != nil {
-		return nil, nil, err
-	}
-	oh, ow := p.OutDims()
-	gradBytes := grad.Shape[1] * oh * ow * tensor.C0 * 2
-	xBytes := x.Shape[1] * p.Ih * p.Iw * tensor.C0 * 2
-	sliceBatch := func(ni int) (*tensor.Tensor, *tensor.Tensor) {
-		g := tensor.New(1, grad.Shape[1], oh, ow, tensor.C0)
-		copy(g.Data, grad.Data[ni*gradBytes:(ni+1)*gradBytes])
-		xi := tensor.New(1, x.Shape[1], p.Ih, p.Iw, tensor.C0)
-		copy(xi.Data, x.Data[ni*xBytes:(ni+1)*xBytes])
-		return g, xi
-	}
-	results, stats, err := c.runTiles(rs, n, 1, func(core *aicore.Core, ni, _ int) ([]*tensor.Tensor, *aicore.Stats, error) {
-		g, xi := sliceBatch(ni)
-		return pl.Run(core, g, xi)
-	}, func(ni, _ int) ([]*tensor.Tensor, error) {
-		g, xi := sliceBatch(ni)
-		return []*tensor.Tensor{ref.Conv2DBackwardWeights(g, xi, p, co, channels)}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	dw = tensor.New(co, channels, p.Kh, p.Kw)
-	for _, rs := range results {
-		for _, r := range rs {
-			for i := 0; i < dw.Len(); i++ {
-				dw.SetFlat(i, fp16.Add(dw.AtFlat(i), r.outs[0].AtFlat(i)))
-			}
-		}
-	}
-	return dw, stats, nil
+// dW = dY^T x im2col(x), summed over the batch. co and channels are the
+// logical output/input channel counts.
+func (c *Chip) Conv2DBackwardWeights(grad, x *tensor.Tensor, p isa.ConvParams, co, channels int) (*tensor.Tensor, *Stats, error) {
+	return first(c.Run("conv2d_bwd_weights", ops.Dims{P: p, Co: co, C: channels}, grad, x))
 }

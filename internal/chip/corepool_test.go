@@ -62,7 +62,7 @@ func TestCorePoolReuseMatchesFresh(t *testing.T) {
 			return []*tensor.Tensor{out}, st, err
 		}},
 		{"avgpool_bwd/col2im 17", func(c *Chip) ([]*tensor.Tensor, *Stats, error) {
-			out, st, err := c.AvgPoolBackward(grad, small, true)
+			out, st, err := c.AvgPoolBackward("col2im", grad, small)
 			return []*tensor.Tensor{out}, st, err
 		}},
 		{"avgpool_fwd/cube 20 padded", func(c *Chip) ([]*tensor.Tensor, *Stats, error) {
@@ -109,7 +109,7 @@ func TestCorePoolDropsFailedCores(t *testing.T) {
 	p := isa.ConvParams{Ih: 17, Iw: 17, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	inj := faults.New(faults.Config{Seed: 1, Rate: 1, Kinds: []faults.Kind{faults.KindTransient}}, nil)
 	c := New(Config{Cores: 2, Resilience: Resilience{Enabled: true, Injector: inj}})
-	pl, err := ops.PlanMaxPoolForward("im2col", c.spec, p)
+	pl, err := ops.Compile("maxpool_fwd/im2col", c.spec, ops.Dims{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,8 @@ import (
 	"davinci/internal/aicore"
 	"davinci/internal/faults"
 	"davinci/internal/isa"
+	"davinci/internal/kernelcases"
+	"davinci/internal/ops"
 	"davinci/internal/tensor"
 	"davinci/internal/workloads"
 )
@@ -338,8 +340,8 @@ func TestFailFastCancelsInFlight(t *testing.T) {
 	}
 }
 
-// TestValidateAtEntryPoints: malformed ConvParams are rejected before any
-// plan compilation or core execution.
+// TestValidateAtEntryPoints: malformed ConvParams and mis-shaped inputs
+// are rejected before any core execution.
 func TestValidateAtEntryPoints(t *testing.T) {
 	c := New(Config{Cores: 1})
 	in := tensor.New(1, 1, 8, 8, tensor.C0)
@@ -353,7 +355,7 @@ func TestValidateAtEntryPoints(t *testing.T) {
 	if _, _, _, err := c.MaxPoolForwardArgmax("im2col", in, bad); err == nil {
 		t.Error("MaxPoolForwardArgmax accepted Kh=0")
 	}
-	if _, _, err := c.AvgPoolBackward(in, bad, true); err == nil {
+	if _, _, err := c.AvgPoolBackward("col2im", in, bad); err == nil {
 		t.Error("AvgPoolBackward accepted Kh=0")
 	}
 	w := tensor.New(16, 16, 3, 3)
@@ -369,5 +371,38 @@ func TestValidateAtEntryPoints(t *testing.T) {
 	mask := tensor.New(1, 1, 3, 3, 16, tensor.C0)
 	if _, _, err := c.MaxPoolBackward("col2im", mask, in, bad); err == nil {
 		t.Error("MaxPoolBackward accepted Kh=0")
+	}
+
+	// Mis-shaped inputs fail before any tile runs, even on a chip that
+	// would retry and degrade: each kernel's last input gets the wrong
+	// extent in dimension 2 (a height, or the weights' Kh).
+	p := isa.ConvParams{Ih: 8, Iw: 8, Kh: 3, Kw: 3, Sh: 1, Sw: 1}
+	c = New(Config{Cores: 2, Resilience: Resilience{Enabled: true, Degrade: true}})
+	for _, k := range ops.Kernels() {
+		d := kernelcases.Dims(k, p)
+		inputs := kernelcases.Tensors(k, d, 2, 2, func(*tensor.Tensor) {})
+		last := inputs[len(inputs)-1]
+		shape := append([]int(nil), last.Shape...)
+		shape[2] *= 2
+		inputs[len(inputs)-1] = tensor.New(shape...)
+		if _, _, err := c.Run(k.Name, d, inputs...); err == nil {
+			t.Errorf("%s accepted input %d of shape %v", k.Name, len(inputs)-1, shape)
+		}
+	}
+	// The cases of the typed entry points: a 16x16 image for 8x8 params,
+	// and a gradient whose batch disagrees with the mask's.
+	if _, _, err := c.Conv2D(tensor.New(1, 1, 16, 16, tensor.C0), tensor.New(16, 16, 3, 3), p); err == nil {
+		t.Error("Conv2D accepted a 16x16 input for 8x8 params")
+	}
+	oh, ow := p.OutDims()
+	if _, _, err := c.MaxPoolBackward("col2im", tensor.New(2, 1, 3, 3, p.PaddedPatches(), tensor.C0),
+		tensor.New(1, 1, oh, ow, tensor.C0), p); err == nil {
+		t.Error("MaxPoolBackward accepted a gradient of N=1 against a mask of N=2")
+	}
+	snap := c.Metrics().Snapshot()
+	for _, name := range []string{"chip_tiles", "chip_tile_panics"} {
+		if v, _ := snap.CounterValue(name); v != 0 {
+			t.Errorf("%s = %d after rejected runs, want 0", name, v)
+		}
 	}
 }

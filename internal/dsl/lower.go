@@ -150,7 +150,7 @@ func buildPool(core *aicore.Core, s *Schedule, pat *poolPattern, inputs map[*Pla
 		// Delegate every schedule decision to the search layer; the
 		// declared strategy seeds the search but the mode is an axis.
 		spec.AutoSchedule = true
-		pl, err = ops.AutoScheduled(kernel, spec, pat.p)
+		pl, err = ops.Compile(kernel, spec, ops.Dims{P: pat.p})
 	} else {
 		pl, err = ops.CompileKernel(kernel, spec, pat.p, s.Params())
 	}

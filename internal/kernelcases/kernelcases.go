@@ -1,8 +1,9 @@
-// Package kernelcases enumerates every built-in kernel as a (planner,
-// input builder) pair, so sweeps that want "all kernels on all layers" —
-// the static-bound reality check, the accounting-identity test, the
-// benchmark Table I sweep — share one catalogue instead of each keeping a
-// private copy that drifts.
+// Package kernelcases turns the ops kernel catalogue into sweep cases:
+// every built-in kernel with a single-tile planner and an input builder,
+// so sweeps that want "all kernels on all layers" — the static-bound
+// reality check, the accounting-identity test, the benchmark Table I
+// sweep, davinci-lint — share one list that cannot drift from the
+// catalogue.
 package kernelcases
 
 import (
@@ -10,10 +11,11 @@ import (
 	"math/rand"
 
 	"davinci/internal/buffer"
+	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/ops"
-	"davinci/internal/ref"
 	"davinci/internal/tensor"
+	"davinci/internal/trace"
 )
 
 // ConvCh is the channel extent the convolution kernels are compiled for
@@ -24,11 +26,13 @@ const ConvCh = tensor.C0
 // Case is one built-in kernel: a plan compiler plus an input builder for
 // a given layer's parameters.
 type Case struct {
-	// Name is "kernel/variant", e.g. "maxpool_fwd/im2col".
+	// Name is the catalogue name, e.g. "maxpool_fwd/im2col".
 	Name string
-	// Plan compiles the kernel for one (1,1,H,W,C0) tile.
+	// Kernel is the catalogue entry.
+	Kernel *ops.Kernel
+	// Plan compiles the kernel for one (1,1,H,W,C0) tile (Dims).
 	Plan func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error)
-	// Inputs builds suitable single-tile inputs for Plan's program.
+	// Inputs builds random single-tile inputs for Plan's program.
 	Inputs func(rng *rand.Rand, p isa.ConvParams) []*tensor.Tensor
 }
 
@@ -41,85 +45,55 @@ func IsCapacitySkip(err error) bool {
 	return errors.Is(err, ops.ErrCapacity) || errors.Is(err, buffer.ErrNoSpace)
 }
 
-func randTile(rng *rand.Rand, h, w int) *tensor.Tensor {
-	t := tensor.New(1, 1, h, w, tensor.C0)
-	t.FillRandom(rng, 8)
-	return t
-}
-
-func inTile(rng *rand.Rand, p isa.ConvParams) []*tensor.Tensor {
-	return []*tensor.Tensor{randTile(rng, p.Ih, p.Iw)}
-}
-
-func gradTile(rng *rand.Rand, p isa.ConvParams) []*tensor.Tensor {
-	oh, ow := p.OutDims()
-	return []*tensor.Tensor{randTile(rng, oh, ow)}
-}
-
-func maskGrad(rng *rand.Rand, p isa.ConvParams) []*tensor.Tensor {
-	in := randTile(rng, p.Ih, p.Iw)
-	g := gradTile(rng, p)
-	return []*tensor.Tensor{ref.ArgmaxMask(in, p), g[0]}
-}
-
-func randWeights(rng *rand.Rand, p isa.ConvParams) *tensor.Tensor {
-	w := tensor.New(ConvCh, ConvCh, p.Kh, p.Kw)
-	w.FillRandom(rng, 4)
-	return w
-}
-
-// All enumerates every planner the dispatch tables (and the conv
-// substrate) expose, with suitable single-tile inputs.
+// All lists every catalogue kernel, in catalogue order.
 func All() []Case {
 	var cases []Case
-	forVariant := func(name string, fn func(string, ops.Spec, isa.ConvParams) (*ops.Plan, error), variants []string, in func(*rand.Rand, isa.ConvParams) []*tensor.Tensor) {
-		for _, v := range variants {
-			variant := v
-			cases = append(cases, Case{
-				Name:   name + "/" + variant,
-				Plan:   func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error) { return fn(variant, spec, p) },
-				Inputs: in,
-			})
-		}
-	}
-	forVariant("maxpool_fwd", ops.PlanMaxPoolForward, []string{"standard", "im2col", "expansion", "xysplit"}, inTile)
-	forVariant("maxpool_fwd_argmax", ops.PlanMaxPoolForwardArgmax, []string{"standard", "im2col"}, inTile)
-	forVariant("maxpool_bwd", ops.PlanMaxPoolBackward, []string{"standard", "col2im"}, maskGrad)
-	forVariant("avgpool_fwd", ops.PlanAvgPoolForward, []string{"standard", "im2col", "cube"}, inTile)
-	for _, useCol2im := range []bool{false, true} {
-		use := useCol2im
-		name := "avgpool_bwd/standard"
-		if use {
-			name = "avgpool_bwd/col2im"
-		}
+	for _, k := range ops.Kernels() {
 		cases = append(cases, Case{
-			Name:   name,
-			Plan:   func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error) { return ops.PlanAvgPoolBackward(spec, p, use) },
-			Inputs: gradTile,
+			Name:   k.Name,
+			Kernel: k,
+			Plan: func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
+				return k.Compile(trace.Ctx{}, spec, Dims(k, p))
+			},
+			Inputs: func(rng *rand.Rand, p isa.ConvParams) []*tensor.Tensor {
+				return Tensors(k, Dims(k, p), 1, 1, func(t *tensor.Tensor) { t.FillRandom(rng, 8) })
+			},
 		})
 	}
-	cases = append(cases,
-		Case{"conv2d",
-			func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-				return ops.PlanConv2D(spec, p, ConvCh, ConvCh)
-			},
-			func(rng *rand.Rand, p isa.ConvParams) []*tensor.Tensor {
-				return []*tensor.Tensor{randTile(rng, p.Ih, p.Iw), randWeights(rng, p)}
-			}},
-		Case{"conv2d_bwd_data",
-			func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-				return ops.PlanConv2DBackwardData(spec, p, ConvCh, ConvCh)
-			},
-			func(rng *rand.Rand, p isa.ConvParams) []*tensor.Tensor {
-				return []*tensor.Tensor{gradTile(rng, p)[0], randWeights(rng, p)}
-			}},
-		Case{"conv2d_bwd_weights",
-			func(spec ops.Spec, p isa.ConvParams) (*ops.Plan, error) {
-				return ops.PlanConv2DBackwardWeights(spec, p, ConvCh, ConvCh)
-			},
-			func(rng *rand.Rand, p isa.ConvParams) []*tensor.Tensor {
-				return []*tensor.Tensor{gradTile(rng, p)[0], randTile(rng, p.Ih, p.Iw)}
-			}},
-	)
 	return cases
+}
+
+// Dims returns the dims a sweep compiles k for at layer p: the
+// convolutions over ConvCh output and input channels.
+func Dims(k *ops.Kernel, p isa.ConvParams) ops.Dims { return k.Dims(p, ConvCh, ConvCh) }
+
+// Tensors builds k's whole inputs for d over an n x c1 tile grid (c1
+// applies to the kernels tiled by (N, C1)), each filled by fill.
+func Tensors(k *ops.Kernel, d ops.Dims, n, c1 int, fill func(*tensor.Tensor)) []*tensor.Tensor {
+	ins := make([]*tensor.Tensor, len(k.Inputs))
+	for i, in := range k.Inputs {
+		shape := in.Shape(d)
+		switch in.Tiling {
+		case ops.ByNC1:
+			shape[0], shape[1] = n, c1
+		case ops.ByN:
+			shape[0] = n
+		}
+		ins[i] = tensor.New(shape...)
+		fill(ins[i])
+	}
+	return ins
+}
+
+// Ints fills tensors with integers in [0, 4) drawn from rng. Sums and
+// products of such values stay exact in binary16 and in the Cube's fp32
+// accumulator at the layer sizes the tools and tests use, so the Cube
+// kernels match their golden models bit for bit as the vector ones do
+// (TestEveryKernelChipRunAndFallback, davinci-sim -verify).
+func Ints(rng *rand.Rand) func(*tensor.Tensor) {
+	return func(t *tensor.Tensor) {
+		for i := 0; i < t.Len(); i++ {
+			t.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(4))))
+		}
+	}
 }

@@ -18,7 +18,7 @@ func TestIsCapacitySkipTyped(t *testing.T) {
 	wide := isa.ConvParams{Ih: 9, Iw: 4096, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	_, tooLarge := ops.CompileKernel("maxpool_fwd/standard", ops.Spec{}, wide, ops.ScheduleParams{})
 	small := isa.ConvParams{Ih: 8, Iw: 8, Kh: 3, Kw: 3, Sh: 1, Sw: 1}
-	_, convWeights := ops.PlanConv2D(ops.Spec{}, small, 256, 256)
+	_, convWeights := ops.Compile("conv2d", ops.Spec{}, ops.Dims{P: small, Co: 256, C: 256})
 	_, noSpace := aicore.New(buffer.Config{}, nil).Mem.Space(isa.UB).Alloc(1 << 30)
 
 	// A strict core rejecting an out-of-bounds copy: "access ... exceeds

@@ -113,7 +113,7 @@ func (t *Tape) Backward(dev *chip.Chip, grad *tensor.Tensor) ([]WeightGrad, *ten
 			g = out
 			cycles += st.Cycles
 		case *AvgPool2D:
-			out, st, err := dev.AvgPoolBackward(g, p, true)
+			out, st, err := dev.AvgPoolBackward("col2im", g, p)
 			if err != nil {
 				return nil, nil, cycles, fmt.Errorf("nn: backward layer %d (%s): %w", i, l.Name(), err)
 			}

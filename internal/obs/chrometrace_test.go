@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func smallKernelTrace(t *testing.T) *aicore.Trace {
 	t.Helper()
 	p := isa.ConvParams{Ih: 8, Iw: 8, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
-	pl, err := ops.PlanMaxPoolForward("im2col", ops.Spec{}, p)
+	pl, err := ops.Compile("maxpool_fwd/im2col", ops.Spec{}, ops.Dims{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}

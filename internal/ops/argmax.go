@@ -78,7 +78,6 @@ func planMaxPoolFwdArgmaxIm2col(spec Spec, p isa.ConvParams, sp ScheduleParams) 
 	if err != nil {
 		return nil, err
 	}
-	plan.bind = bindTile(name, p)
 	plan.Sched = ScheduleParams{
 		Mode: sp.Mode, Band: pl.band, Buffers: pl.buffers, RepeatChunk: resolvedRepeatChunk(sp),
 	}
@@ -205,7 +204,7 @@ func planMaxPoolFwdArgmaxStandard(spec Spec, p isa.ConvParams, sp ScheduleParams
 	if err != nil {
 		return nil, err
 	}
-	pl.bind = bindPaddedTile(name, p)
+	pl.bind = padTile(p)
 	pl.Sched = ScheduleParams{
 		Mode: sp.Mode, Band: band, Buffers: buffers, Saturate: resolvedSaturate(saturated),
 	}

@@ -1,14 +1,11 @@
 package ops
 
 import (
-	"fmt"
-
 	"davinci/internal/cce"
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/scu"
 	"davinci/internal/tensor"
-	"davinci/internal/trace"
 )
 
 // avgScale returns the binary16 value of 1/(Kh*Kw), the element-wise
@@ -18,28 +15,17 @@ func avgScale(p isa.ConvParams) fp16.Float16 {
 }
 
 // planAvgPoolBwdStandard and planAvgPoolBwdCol2im are the two Avgpool
-// backward lowering modes as schedule-parameterized planners.
+// backward lowering modes. The equivalent mask contains 1 in all
+// positions (every input contributes to a sum, §V-C), so the kernel
+// scales the incoming gradients by 1/(Kh*Kw) and merges them — with
+// 16-lane vadds in the standard lowering or with Col2Im instructions in
+// the col2im one. Run takes (grad) and returns (dx).
 func planAvgPoolBwdStandard(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Plan, error) {
 	return planAvgPoolBackward(spec, p, false, sp)
 }
 
 func planAvgPoolBwdCol2im(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Plan, error) {
 	return planAvgPoolBackward(spec, p, true, sp)
-}
-
-// PlanAvgPoolBackward compiles the Avgpool backward pass with the
-// hand-tuned default schedule (or a searched one, under an AutoSchedule
-// Spec). The equivalent mask contains 1 in all positions (every input
-// contributes to a sum, §V-C), so the kernel scales the incoming
-// gradients by 1/(Kh*Kw) and merges them — with 16-lane vadds when
-// useCol2im is false (the standard lowering) or with Col2Im instructions
-// when true. Run takes (grad) and returns (dx).
-func PlanAvgPoolBackward(spec Spec, p isa.ConvParams, useCol2im bool) (*Plan, error) {
-	variant := "standard"
-	if useCol2im {
-		variant = "col2im"
-	}
-	return planVariant(trace.Ctx{}, "avgpool_bwd", "avgpool backward", variant, spec, p)
 }
 
 func planAvgPoolBackward(spec Spec, p isa.ConvParams, useCol2im bool, sp ScheduleParams) (*Plan, error) {
@@ -159,16 +145,6 @@ func planAvgPoolBackward(spec Spec, p isa.ConvParams, useCol2im bool, sp Schedul
 	pl, err := b.seal(prog, spec)
 	if err != nil {
 		return nil, err
-	}
-	pl.bind = func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		if err := wantInputs("avgpool_bwd", 1, inputs); err != nil {
-			return nil, err
-		}
-		grad := inputs[0]
-		if len(grad.Shape) != 5 || grad.Shape[2] != oh || grad.Shape[3] != ow {
-			return nil, fmt.Errorf("ops: avgpool_bwd: grad shape %v, want (1,1,%d,%d,%d)", grad.Shape, oh, ow, tensor.C0)
-		}
-		return inputs, nil
 	}
 	pl.Sched = ScheduleParams{
 		Mode: sp.Mode, Band: band, Buffers: buffers, RepeatChunk: resolvedRepeatChunk(sp),

@@ -41,22 +41,14 @@ func planAvgPoolFwdCube(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Plan, 
 	if err := noKnob("avgpool_fwd_cube", sp.Gather, "gather"); err != nil {
 		return nil, err
 	}
-	spec.AutoSchedule = false
-	pl, err := PlanConv2D(spec, p, tensor.C0, tensor.C0)
+	pl, err := planConv2D(spec, Dims{P: p, Co: tensor.C0, C: tensor.C0}, ScheduleParams{})
 	if err != nil {
 		return nil, err
 	}
 	pl.Sched = ScheduleParams{Mode: sp.Mode}
 	convBind := pl.bind
 	pl.Name = "avgpool_fwd_cube"
-	pl.bind = func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		if err := wantInputs("avgpool_fwd_cube", 1, inputs); err != nil {
-			return nil, err
-		}
-		in := inputs[0]
-		if err := checkTile(in, p); err != nil {
-			return nil, err
-		}
+	pl.bind = func(inputs []*tensor.Tensor) []*tensor.Tensor {
 		// Diagonal 16x16-channel weights scaled by 1/(Kh*Kw).
 		w := tensor.New(tensor.C0, tensor.C0, p.Kh, p.Kw)
 		inv := avgScale(p)
@@ -67,7 +59,7 @@ func planAvgPoolFwdCube(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Plan, 
 				}
 			}
 		}
-		return convBind([]*tensor.Tensor{in, w})
+		return convBind([]*tensor.Tensor{inputs[0], w})
 	}
 	return pl, nil
 }

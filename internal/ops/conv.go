@@ -35,58 +35,20 @@ func PackWeightsFractal(w *tensor.Tensor, p isa.ConvParams) *tensor.Tensor {
 	return out
 }
 
-// bindConv validates and packs the (in, weights) inputs of a forward
-// convolution plan compiled for co x c logical channels.
-func bindConv(p isa.ConvParams, co, c int) bindFunc {
-	c1 := tensor.C1Of(c)
-	return func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		if err := wantInputs("conv2d_im2col_cube", 2, inputs); err != nil {
-			return nil, err
-		}
-		in, weights := inputs[0], inputs[1]
-		if len(in.Shape) != 5 || in.Shape[0] != 1 || in.Shape[4] != tensor.C0 {
-			return nil, fmt.Errorf("ops: conv wants a (1,C1,H,W,%d) input, got %v", tensor.C0, in.Shape)
-		}
-		if in.Shape[2] != p.Ih || in.Shape[3] != p.Iw {
-			return nil, fmt.Errorf("ops: conv input %v does not match params (%d,%d)", in.Shape, p.Ih, p.Iw)
-		}
-		if len(weights.Shape) != 4 || weights.Shape[2] != p.Kh || weights.Shape[3] != p.Kw {
-			return nil, fmt.Errorf("ops: conv wants (Co,C,%d,%d) weights, got %v", p.Kh, p.Kw, weights.Shape)
-		}
-		if weights.Shape[0] != co || weights.Shape[1] != c {
-			return nil, fmt.Errorf("ops: conv plan compiled for (Co,C)=(%d,%d) weights, got %v", co, c, weights.Shape)
-		}
-		if in.Shape[1] != c1 {
-			return nil, fmt.Errorf("ops: weight channels %d inconsistent with input C1=%d", c, in.Shape[1])
-		}
-		return []*tensor.Tensor{in, PackWeightsFractal(weights, p)}, nil
-	}
-}
-
-// PlanConv2D compiles convolution on the Cube unit for co x c logical
+// planConv2D compiles convolution on the Cube unit for d.Co x d.C logical
 // channels, the primary use the Im2Col instruction was designed for
 // (§II-A, §III-C): patches are loaded from L1 into L0A with Im2Col in
 // repeat mode 0 (one instruction per 16-patch fractal covering every
 // (c1, xk, yk)), weights stream into L0B, the MMAD accumulates in fp32 in
 // L0C, and the result converts back to Float16 on its way through the
-// Unified Buffer.
+// Unified Buffer. It has no schedule axes.
 //
 // Run takes an input of shape (1, C1, Ih, Iw, C0) and (Co, C, Kh, Kw)
 // weights, and returns a (1, Co1, Oh, Ow, C0) result.
-func PlanConv2D(spec Spec, p isa.ConvParams, co, c int) (*Plan, error) {
+func planConv2D(spec Spec, d Dims, _ ScheduleParams) (*Plan, error) {
+	p, co, c := d.P, d.Co, d.C
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if spec.AutoSchedule {
-		// The Cube-unit planner exposes no searchable vector-schedule axes;
-		// compile the hand-written lowering and record the degenerate search.
-		spec.AutoSchedule = false
-		pl, err := PlanConv2D(spec, p, co, c)
-		if err == nil {
-			attachNoSearchReport(pl, "conv2d_im2col_cube",
-				"conv2d_im2col_cube exposes no searchable schedule axes: Cube-unit channel tiling, L0 band split and MMAD accumulation order are fixed")
-		}
-		return pl, err
 	}
 	b := newPlanner("conv2d_im2col_cube", spec, p)
 	core := b.core
@@ -190,6 +152,8 @@ func PlanConv2D(spec Spec, p isa.ConvParams, co, c int) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl.bind = bindConv(p, co, c)
+	pl.bind = func(inputs []*tensor.Tensor) []*tensor.Tensor {
+		return []*tensor.Tensor{inputs[0], PackWeightsFractal(inputs[1], p)}
+	}
 	return pl, nil
 }

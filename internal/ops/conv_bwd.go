@@ -51,32 +51,23 @@ func padGrad(grad *tensor.Tensor, ow, patches, padded int) *tensor.Tensor {
 	return gpad
 }
 
-// PlanConv2DBackwardData compiles the gradient propagation through a
-// convolution to its input for co x c logical channels: the Cube unit
+// planConv2DBackwardData compiles the gradient propagation through a
+// convolution to its input for d.Co x d.C logical channels: the Cube unit
 // computes dCols = dY x W^T (fractal matmul with fp32 accumulation), and
 // Col2Im instructions merge the im2col-shaped gradient back to NC1HWC0 —
 // the original purpose of the Col2im transform (§II-B) executed with the
-// paper's Col2Im instruction.
+// paper's Col2Im instruction. It has no schedule axes.
 //
 // Run takes a (1, Co1, Oh, Ow, C0) gradient and (Co, C, Kh, Kw) weights,
 // and returns a (1, C1, Ih, Iw, C0) result.
-func PlanConv2DBackwardData(spec Spec, p isa.ConvParams, co, c int) (*Plan, error) {
+func planConv2DBackwardData(spec Spec, d Dims, _ ScheduleParams) (*Plan, error) {
+	p, co, c := d.P, d.Co, d.C
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.AutoSchedule {
-		// No searchable schedule axes on the Cube unit; see PlanConv2D.
-		spec.AutoSchedule = false
-		pl, err := PlanConv2DBackwardData(spec, p, co, c)
-		if err == nil {
-			attachNoSearchReport(pl, "conv2d_bwd_data",
-				"conv2d_bwd_data exposes no searchable schedule axes: Cube-unit channel tiling and the Col2Im scatter order are fixed")
-		}
-		return pl, err
-	}
 	b := newPlanner("conv2d_bwd_data", spec, p)
 	core := b.core
-	oh, ow := p.OutDims()
+	_, ow := p.OutDims()
 	co1 := tensor.C1Of(co)
 	c1 := tensor.C1Of(c)
 
@@ -219,27 +210,8 @@ func PlanConv2DBackwardData(spec Spec, p isa.ConvParams, co, c int) (*Plan, erro
 	if err != nil {
 		return nil, err
 	}
-	pl.bind = func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		if err := wantInputs("conv2d_bwd_data", 2, inputs); err != nil {
-			return nil, err
-		}
-		grad, weights := inputs[0], inputs[1]
-		if len(grad.Shape) != 5 || grad.Shape[0] != 1 || grad.Shape[2] != oh || grad.Shape[3] != ow {
-			return nil, fmt.Errorf("ops: conv bwd wants (1,Co1,%d,%d,%d) gradients, got %v", oh, ow, tensor.C0, grad.Shape)
-		}
-		if len(weights.Shape) != 4 || weights.Shape[2] != p.Kh || weights.Shape[3] != p.Kw {
-			return nil, fmt.Errorf("ops: conv bwd wants (Co,C,%d,%d) weights, got %v", p.Kh, p.Kw, weights.Shape)
-		}
-		if weights.Shape[0] != co {
-			return nil, fmt.Errorf("ops: conv bwd plan compiled for Co=%d, weights carry %d outputs", co, weights.Shape[0])
-		}
-		if grad.Shape[1] != co1 {
-			return nil, fmt.Errorf("ops: gradient Co1=%d inconsistent with %d weight outputs", grad.Shape[1], co)
-		}
-		if weights.Shape[1] != c {
-			return nil, fmt.Errorf("ops: weights carry %d channels, caller says %d", weights.Shape[1], c)
-		}
-		return []*tensor.Tensor{padGrad(grad, ow, patches, padded), PackWeightsBackward(weights, p)}, nil
+	pl.bind = func(inputs []*tensor.Tensor) []*tensor.Tensor {
+		return []*tensor.Tensor{padGrad(inputs[0], ow, patches, padded), PackWeightsBackward(inputs[1], p)}
 	}
 	return pl, nil
 }

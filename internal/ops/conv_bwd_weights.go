@@ -1,16 +1,15 @@
 package ops
 
 import (
-	"fmt"
-
 	"davinci/internal/cce"
 	"davinci/internal/isa"
 	"davinci/internal/tensor"
 )
 
-// PlanConv2DBackwardWeights compiles the weight gradient of a convolution
-// for co x c logical channels: dW = dY^T x im2col(x), contracted over the
-// output patches. Three SCU/Cube features cooperate:
+// planConv2DBackwardWeights compiles the weight gradient of a convolution
+// for d.Co x d.C logical channels: dW = dY^T x im2col(x), contracted over
+// the output patches. It has no schedule axes. Three SCU/Cube features
+// cooperate:
 //
 //   - Im2Col loads (repeat mode 0) stream im2col(x) fractals into L0B —
 //     the same loads the forward pass uses for L0A (§III-C);
@@ -20,23 +19,14 @@ import (
 //
 // Run takes a (1, Co1, Oh, Ow, C0) gradient and a (1, C1, Ih, Iw, C0)
 // input, and returns the (Co, C, Kh, Kw) weight gradient.
-func PlanConv2DBackwardWeights(spec Spec, p isa.ConvParams, co, c int) (*Plan, error) {
+func planConv2DBackwardWeights(spec Spec, d Dims, _ ScheduleParams) (*Plan, error) {
+	p, co, c := d.P, d.Co, d.C
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.AutoSchedule {
-		// No searchable schedule axes on the Cube unit; see PlanConv2D.
-		spec.AutoSchedule = false
-		pl, err := PlanConv2DBackwardWeights(spec, p, co, c)
-		if err == nil {
-			attachNoSearchReport(pl, "conv2d_bwd_weights",
-				"conv2d_bwd_weights exposes no searchable schedule axes: Cube-unit channel tiling and MMAD accumulation order are fixed")
-		}
-		return pl, err
-	}
 	b := newPlanner("conv2d_bwd_weights", spec, p)
 	core := b.core
-	oh, ow := p.OutDims()
+	_, ow := p.OutDims()
 	co1, c1 := tensor.C1Of(co), tensor.C1Of(c)
 
 	patches := p.Patches()
@@ -142,18 +132,8 @@ func PlanConv2DBackwardWeights(spec Spec, p isa.ConvParams, co, c int) (*Plan, e
 	if err != nil {
 		return nil, err
 	}
-	pl.bind = func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		if err := wantInputs("conv2d_bwd_weights", 2, inputs); err != nil {
-			return nil, err
-		}
-		grad, x := inputs[0], inputs[1]
-		if len(grad.Shape) != 5 || grad.Shape[0] != 1 || grad.Shape[1] != co1 || grad.Shape[2] != oh || grad.Shape[3] != ow {
-			return nil, fmt.Errorf("ops: conv dW wants (1,%d,%d,%d,%d) gradients, got %v", co1, oh, ow, tensor.C0, grad.Shape)
-		}
-		if len(x.Shape) != 5 || x.Shape[0] != 1 || x.Shape[1] != c1 || x.Shape[2] != p.Ih || x.Shape[3] != p.Iw {
-			return nil, fmt.Errorf("ops: conv dW wants (1,%d,%d,%d,%d) inputs, got %v", c1, p.Ih, p.Iw, tensor.C0, x.Shape)
-		}
-		return []*tensor.Tensor{padGrad(grad, ow, patches, padded), x}, nil
+	pl.bind = func(inputs []*tensor.Tensor) []*tensor.Tensor {
+		return []*tensor.Tensor{padGrad(inputs[0], ow, patches, padded), inputs[1]}
 	}
 	// Unpack the (co1, n, 16, 16) fractal grid into (Co, C, Kh, Kw).
 	pl.finish = func(outs []*tensor.Tensor) []*tensor.Tensor {

@@ -75,7 +75,7 @@ func TestPoolingKernelsLintClean(t *testing.T) {
 			{"avgpool_fwd", []*tensor.Tensor{in}},
 			{"avgpool_bwd", []*tensor.Tensor{grad}},
 		} {
-			for _, v := range KernelVariants(fam.family) {
+			for _, v := range Modes(fam.family) {
 				kernel := fam.family + "/" + v
 				core, progs := captureCore()
 				if _, _, err := runKernel(core, kernel, p, fam.inputs...); err != nil {

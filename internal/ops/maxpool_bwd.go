@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"fmt"
-
 	"davinci/internal/cce"
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
@@ -36,26 +34,6 @@ type bwdPlan struct {
 // [pa, pb) (pb exclusive, clamped to valid patches).
 func (pl *bwdPlan) bandRows(p isa.ConvParams, pa, pb int) (lo, hi int) {
 	return patchRowRange(p, pl.ow, pl.patches, pa, pb)
-}
-
-// bindBackward validates the (mask, grad) inputs of a backward plan.
-func bindBackward(name string, p isa.ConvParams) bindFunc {
-	oh, ow := p.OutDims()
-	padded := p.PaddedPatches()
-	return func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		if err := wantInputs(name, 2, inputs); err != nil {
-			return nil, err
-		}
-		mask, grad := inputs[0], inputs[1]
-		wantMask := []int{1, 1, p.Kh, p.Kw, padded, tensor.C0}
-		if len(mask.Shape) != 6 || mask.Shape[2] != p.Kh || mask.Shape[3] != p.Kw || mask.Shape[4] != padded {
-			return nil, fmt.Errorf("ops: %s: mask shape %v, want %v", name, mask.Shape, wantMask)
-		}
-		if len(grad.Shape) != 5 || grad.Shape[2] != oh || grad.Shape[3] != ow {
-			return nil, fmt.Errorf("ops: %s: grad shape %v, want (1,1,%d,%d,%d)", name, grad.Shape, oh, ow, tensor.C0)
-		}
-		return inputs, nil
-	}
 }
 
 // planBackward sizes the shared backward schedule against the planner's
@@ -206,7 +184,6 @@ func planMaxPoolBwdStandard(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Pl
 	if err != nil {
 		return nil, err
 	}
-	plan.bind = bindBackward(name, p)
 	plan.Sched = ScheduleParams{
 		Mode: sp.Mode, Band: pl.band, Buffers: pl.buffers, RepeatChunk: resolvedRepeatChunk(sp),
 	}
@@ -240,7 +217,6 @@ func planMaxPoolBwdCol2im(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Plan
 	if err != nil {
 		return nil, err
 	}
-	plan.bind = bindBackward(name, p)
 	plan.Sched = ScheduleParams{
 		Mode: sp.Mode, Band: pl.band, Buffers: pl.buffers, RepeatChunk: resolvedRepeatChunk(sp),
 	}

@@ -121,7 +121,7 @@ func planDirectForward(name string, spec Spec, p isa.ConvParams, op isa.VecOp, i
 	if err != nil {
 		return nil, err
 	}
-	pl.bind = bindPaddedTile(name, p)
+	pl.bind = padTile(p)
 	pl.Sched = ScheduleParams{
 		Mode: sp.Mode, Band: band, Buffers: buffers,
 		Saturate: resolvedSaturate(saturated), Epilogue: sp.Epilogue,
@@ -380,7 +380,6 @@ func planIm2colForward(name string, spec Spec, p isa.ConvParams, op isa.VecOp, i
 	if err != nil {
 		return nil, err
 	}
-	plan.bind = bindTile(name, p)
 	plan.Sched = ScheduleParams{
 		Mode: sp.Mode, Band: pl.band, Buffers: pl.buffers,
 		RepeatChunk: resolvedRepeatChunk(sp), Epilogue: sp.Epilogue,
@@ -523,7 +522,7 @@ func planMaxPoolFwdExpansion(spec Spec, p isa.ConvParams, sp ScheduleParams) (*P
 	if err != nil {
 		return nil, err
 	}
-	pl.bind = bindPaddedTile(name, p)
+	pl.bind = padTile(p)
 	pl.Sched = ScheduleParams{Mode: sp.Mode, Band: band, Buffers: buffers, Gather: sp.Gather}
 	return pl, nil
 }
@@ -637,7 +636,7 @@ func planMaxPoolFwdXYSplit(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Pla
 	if err != nil {
 		return nil, err
 	}
-	pl.bind = bindPaddedTile(name, p)
+	pl.bind = padTile(p)
 	pl.Sched = ScheduleParams{Mode: sp.Mode, Band: band, Buffers: buffers}
 	return pl, nil
 }

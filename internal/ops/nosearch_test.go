@@ -19,19 +19,14 @@ import (
 func TestConvAutoScheduleNoSearch(t *testing.T) {
 	p := isa.ConvParams{Ih: 8, Iw: 8, Kh: 2, Kw: 2, Sh: 2, Sw: 2}
 	spec := Spec{AutoSchedule: true}
-	tests := []struct {
-		kernel string
-		plan   func(c *PlanCache) (*Plan, error)
-	}{
-		{"conv2d_im2col_cube", func(c *PlanCache) (*Plan, error) { return c.Conv2D(trace.Ctx{}, spec, p, 16, 16) }},
-		{"conv2d_bwd_data", func(c *PlanCache) (*Plan, error) { return c.Conv2DBackwardData(trace.Ctx{}, spec, p, 16, 16) }},
-		{"conv2d_bwd_weights", func(c *PlanCache) (*Plan, error) { return c.Conv2DBackwardWeights(trace.Ctx{}, spec, p, 16, 16) }},
-	}
-	for _, tt := range tests {
-		t.Run(tt.kernel, func(t *testing.T) {
+	for _, k := range Kernels() {
+		if k.Fixed == "" {
+			continue
+		}
+		t.Run(k.Program, func(t *testing.T) {
 			r := obs.NewRegistry()
 			c := NewPlanCacheOn(r)
-			pl, err := tt.plan(c)
+			pl, err := c.Plan(trace.Ctx{}, k, spec, k.Dims(p, 16, 16))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +40,7 @@ func TestConvAutoScheduleNoSearch(t *testing.T) {
 			if a.Considered != 0 {
 				t.Fatalf("Considered = %d, want 0", a.Considered)
 			}
-			if a.Rejected == "" || !strings.Contains(a.Rejected, "no searchable schedule axes") {
+			if a.Kernel != k.Program || !strings.Contains(a.Rejected, k.Program+" exposes no searchable schedule axes") {
 				t.Fatalf("Rejected = %q, want an explicit no-axes reason", a.Rejected)
 			}
 			if s := a.Summary(); !strings.Contains(s, "sched_candidates=0") {

@@ -30,20 +30,6 @@ import (
 // Block is the byte size of one C0 row (16 Float16 elements).
 const Block = isa.ElemsPerBlock * fp16.Bytes
 
-// checkTile validates the single-tile input convention.
-func checkTile(in *tensor.Tensor, p isa.ConvParams) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if len(in.Shape) != 5 || in.Shape[0] != 1 || in.Shape[1] != 1 || in.Shape[4] != tensor.C0 {
-		return fmt.Errorf("ops: want a (1,1,H,W,%d) tile, got %v", tensor.C0, in.Shape)
-	}
-	if in.Shape[2] != p.Ih || in.Shape[3] != p.Iw {
-		return fmt.Errorf("ops: tile %v does not match params (%d,%d)", in.Shape, p.Ih, p.Iw)
-	}
-	return nil
-}
-
 // materializePadding returns the input with spatial zero padding written
 // out, plus the equivalent padding-free parameters. Direct (non-Im2Col)
 // kernels consume padded tiles, because only the Im2Col/Col2Im
@@ -67,41 +53,12 @@ func foldPadding(p isa.ConvParams) isa.ConvParams {
 	return pp
 }
 
-// wantInputs checks the input arity handed to a plan's bind step.
-func wantInputs(name string, n int, inputs []*tensor.Tensor) error {
-	if len(inputs) != n {
-		return fmt.Errorf("ops: %s: want %d input tensor(s), got %d", name, n, len(inputs))
-	}
-	return nil
-}
-
-// bindTile validates the single-tile input convention for plans whose
-// program consumes the raw tile (the Im2Col instruction synthesizes the
-// padding during the load).
-func bindTile(name string, p isa.ConvParams) bindFunc {
-	return func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		if err := wantInputs(name, 1, inputs); err != nil {
-			return nil, err
-		}
-		if err := checkTile(inputs[0], p); err != nil {
-			return nil, err
-		}
-		return inputs, nil
-	}
-}
-
-// bindPaddedTile is bindTile for direct (non-Im2Col) plans, which consume
-// tiles with the spatial zero padding written out.
-func bindPaddedTile(name string, p isa.ConvParams) bindFunc {
-	return func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-		if err := wantInputs(name, 1, inputs); err != nil {
-			return nil, err
-		}
-		if err := checkTile(inputs[0], p); err != nil {
-			return nil, err
-		}
+// padTile binds the tile of a direct (non-Im2Col) plan, which consumes
+// it with the spatial zero padding written out.
+func padTile(p isa.ConvParams) bindFunc {
+	return func(inputs []*tensor.Tensor) []*tensor.Tensor {
 		padded, _ := materializePadding(inputs[0], p)
-		return []*tensor.Tensor{padded}, nil
+		return []*tensor.Tensor{padded}
 	}
 }
 

@@ -43,7 +43,7 @@ func randTile(seed int64, p isa.ConvParams) *tensor.Tensor {
 func TestMaxForwardVariantsMatchReference(t *testing.T) {
 	for _, p := range paramGrid {
 		want := ref.MaxPoolForward(randTile(int64(p.Ih*100+p.Iw), p), p)
-		for _, name := range KernelVariants("maxpool_fwd") {
+		for _, name := range Modes("maxpool_fwd") {
 			for _, core := range []*aicore.Core{newTestCore(), smallCore()} {
 				in := randTile(int64(p.Ih*100+p.Iw), p)
 				got, st, err := runOne(core, "maxpool_fwd/"+name, p, in)
@@ -65,7 +65,7 @@ func TestAvgForwardVariantsMatchReference(t *testing.T) {
 	for _, p := range paramGrid {
 		in := randTile(int64(p.Ih*31+p.Iw), p)
 		want := ref.AvgPoolForward(in, p)
-		for _, name := range KernelVariants("avgpool_fwd") {
+		for _, name := range Modes("avgpool_fwd") {
 			got, _, err := runOne(newTestCore(), "avgpool_fwd/"+name, p, in.Clone())
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, p, err)
@@ -112,7 +112,7 @@ func TestArgmaxVariantsMatchReference(t *testing.T) {
 		in := randTile(int64(p.Ih*7+p.Iw), p)
 		wantOut := ref.MaxPoolForward(in, p)
 		wantMask := ref.ArgmaxMask(in, p)
-		for _, name := range KernelVariants("maxpool_fwd_argmax") {
+		for _, name := range Modes("maxpool_fwd_argmax") {
 			for _, core := range []*aicore.Core{newTestCore(), smallCore()} {
 				outs, _, err := runKernel(core, "maxpool_fwd_argmax/"+name, p, in.Clone())
 				if err != nil {
@@ -140,7 +140,7 @@ func TestBackwardVariantsMatchReference(t *testing.T) {
 			grad.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(5))))
 		}
 		want := ref.MaxPoolBackward(mask, grad, p, p.Ih, p.Iw)
-		for _, name := range KernelVariants("maxpool_bwd") {
+		for _, name := range Modes("maxpool_bwd") {
 			for _, core := range []*aicore.Core{newTestCore(), smallCore()} {
 				got, st, err := runOne(core, "maxpool_bwd/"+name, p, mask.Clone(), grad.Clone())
 				if err != nil {
@@ -166,7 +166,7 @@ func TestAvgBackwardMatchesReference(t *testing.T) {
 			grad.SetFlat(i, fp16.FromFloat64(float64(rng.Intn(8))))
 		}
 		want := ref.AvgPoolBackward(grad, p, p.Ih, p.Iw)
-		for _, name := range KernelVariants("avgpool_bwd") {
+		for _, name := range Modes("avgpool_bwd") {
 			got, _, err := runOne(newTestCore(), "avgpool_bwd/"+name, p, grad.Clone())
 			if err != nil {
 				t.Fatalf("%s %+v: %v", name, p, err)
@@ -186,7 +186,7 @@ func TestSpeedupShape(t *testing.T) {
 	in := randTile(1, p)
 
 	cycles := map[string]int64{}
-	for _, name := range KernelVariants("maxpool_fwd") {
+	for _, name := range Modes("maxpool_fwd") {
 		_, st, err := runOne(newTestCore(), "maxpool_fwd/"+name, p, in)
 		if err != nil {
 			t.Fatal(err)

@@ -1,27 +1,27 @@
 // Plan/bind/execute: every kernel in this package is split into a
 // shape-dependent compile step and a data-dependent execute step.
 //
-// Compilation (the plan* constructors) runs the kernel's scheduling logic —
-// band sizing, buffer allocation, CCE emission — against a scratch core
-// built from a Spec, and produces a Plan: an immutable, validated
-// cce.Program plus the global-memory layout it was emitted against. The
-// program depends only on (kernel, ConvParams, buffer capacities), never on
+// Compilation (a catalogue entry's lowering, kernels.go) runs the
+// kernel's scheduling logic — band sizing, buffer allocation, CCE
+// emission — against a scratch core built from a Spec, and produces a
+// Plan: an immutable, validated cce.Program plus the global-memory layout
+// it was emitted against. The program depends only on (kernel, ConvParams, buffer capacities), never on
 // tensor values, so one Plan can be replayed for every tile of a layer and
 // shared by all simulated cores. Execution (Plan.Run) is the thin
 // data-only step: bind the inputs (padding, weight packing), write their
 // bytes at the planned addresses, replay the cached program, read the
 // planned outputs back.
 //
-// A PlanCache keys Plans by (kernel, ConvParams, aux shape ints, Spec) so a
-// whole-layer run on internal/chip compiles each variant exactly once;
+// A PlanCache keys Plans by (kernel, ConvParams, channel counts, Spec) so a
+// whole-layer run on internal/chip compiles each kernel exactly once;
 // hit/miss/compile counters surface in chip.Stats and cmd/davinci-bench.
 package ops
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -89,10 +89,10 @@ type gmRead struct {
 	shape []int
 }
 
-// bindFunc validates raw kernel inputs and produces the bound tensors whose
-// bytes land in the plan's GM slots (identity, zero-padding, weight
-// packing, ...). It must be pure: plans are shared across goroutines.
-type bindFunc func(inputs []*tensor.Tensor) ([]*tensor.Tensor, error)
+// bindFunc turns inputs of the plan's shapes into the bound tensors whose
+// bytes land in the plan's GM slots (zero-padding, weight packing, ...).
+// It must be pure: plans are shared across goroutines.
+type bindFunc func(inputs []*tensor.Tensor) []*tensor.Tensor
 
 // finishFunc post-processes the tensors read from the plan's output
 // regions (e.g. unpacking a fractal weight grid). It must be pure.
@@ -135,10 +135,11 @@ type Plan struct {
 	// saved or why the searched schedule was rejected); nil otherwise.
 	Auto *AutoSchedReport
 
+	shapes [][]int // the input shapes Run accepts: the catalogue's tile shapes
 	slots  []gmSlot
 	outs   []gmRead
-	gmTop  int // total GM footprint of the planned layout
-	bind   bindFunc
+	gmTop  int      // total GM footprint of the planned layout
+	bind   bindFunc // nil when the inputs are bound as they are
 	finish finishFunc
 
 	// timings memoizes the deterministic schedule per timing context, so
@@ -163,12 +164,17 @@ func (pl *Plan) Outputs() int { return len(pl.outs) }
 // a pristine core — which keeps outputs and cycle counts bit-identical to
 // the compile-and-run path.
 func (pl *Plan) Run(core *aicore.Core, inputs ...*tensor.Tensor) ([]*tensor.Tensor, *aicore.Stats, error) {
+	if len(inputs) != len(pl.shapes) {
+		return nil, nil, fmt.Errorf("ops: %s: want %d input(s), got %d", pl.Name, len(pl.shapes), len(inputs))
+	}
+	for i, want := range pl.shapes {
+		if !slices.Equal(inputs[i].Shape, want) {
+			return nil, nil, fmt.Errorf("ops: %s: input %d has shape %v, want %v", pl.Name, i, inputs[i].Shape, want)
+		}
+	}
 	bound := inputs
 	if pl.bind != nil {
-		var err error
-		if bound, err = pl.bind(inputs); err != nil {
-			return nil, nil, err
-		}
+		bound = pl.bind(inputs)
 	}
 	if len(bound) != len(pl.slots) {
 		return nil, nil, fmt.Errorf("ops: %s: plan wants %d inputs, got %d", pl.Name, len(pl.slots), len(bound))
@@ -348,8 +354,8 @@ func (b *planner) seal(prog *cce.Program, spec Spec) (*Plan, error) {
 	return b.pl, nil
 }
 
-// PlanKey identifies one compiled plan: kernel name, layer parameters, any
-// extra shape integers (convolution channel counts), and the compile Spec.
+// PlanKey identifies one compiled plan: program name, layer parameters,
+// the convolution channel counts (Co, C) and the compile Spec.
 type PlanKey struct {
 	Kernel string
 	Params isa.ConvParams
@@ -533,186 +539,30 @@ func emitOptSpans(tc trace.Ctx, pl *Plan) {
 	op.End()
 }
 
-// plannerFunc is a schedule-parameterized lowering: it compiles (spec, p)
-// under the given ScheduleParams, whose zero value reproduces the
-// hand-tuned plan bit-identically.
-type plannerFunc func(Spec, isa.ConvParams, ScheduleParams) (*Plan, error)
-
-// kernelFamilies is the unified dispatch table of every searchable kernel
-// family and its lowering modes. The lowering mode is itself a schedule
-// axis: every variant of a family shares one observable contract (same
-// inputs, same outputs), so the autoscheduler may swap it.
-var kernelFamilies = map[string]map[string]plannerFunc{
-	"maxpool_fwd": {
-		"standard":  planMaxPoolFwdStandard,
-		"im2col":    planMaxPoolFwdIm2col,
-		"expansion": planMaxPoolFwdExpansion,
-		"xysplit":   planMaxPoolFwdXYSplit,
-	},
-	"maxpool_fwd_argmax": {
-		"standard": planMaxPoolFwdArgmaxStandard,
-		"im2col":   planMaxPoolFwdArgmaxIm2col,
-	},
-	"maxpool_bwd": {
-		"standard": planMaxPoolBwdStandard,
-		"col2im":   planMaxPoolBwdCol2im,
-	},
-	"avgpool_fwd": {
-		"standard": planAvgPoolFwdStandard,
-		"im2col":   planAvgPoolFwdIm2col,
-		"cube":     planAvgPoolFwdCube,
-	},
-	"avgpool_bwd": {
-		"standard": planAvgPoolBwdStandard,
-		"col2im":   planAvgPoolBwdCol2im,
-	},
+// Plan returns kernel k's plan for d under spec, compiling it
+// (Kernel.Compile) at most once per key. The key is the program name,
+// the layer parameters, the convolution channel counts and the spec. tc
+// is the caller's tracing context (see Get); pass trace.Ctx{} when not
+// tracing.
+func (c *PlanCache) Plan(tc trace.Ctx, k *Kernel, spec Spec, d Dims) (*Plan, error) {
+	key := PlanKey{Kernel: k.Program, Params: d.P, Aux: [2]int{d.Co, d.C}, Spec: spec}
+	return c.Get(tc, key, func(ct trace.Ctx) (*Plan, error) { return k.Compile(ct, spec, d) })
 }
 
-// KernelFamilies returns the searchable kernel family names, sorted.
-func KernelFamilies() []string {
-	names := make([]string, 0, len(kernelFamilies))
-	for f := range kernelFamilies {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// KernelVariants returns the lowering modes of a family, sorted; nil for
-// an unknown family.
-func KernelVariants(family string) []string {
-	table, ok := kernelFamilies[family]
-	if !ok {
-		return nil
-	}
-	variants := make([]string, 0, len(table))
-	for v := range table {
-		variants = append(variants, v)
-	}
-	sort.Strings(variants)
-	return variants
-}
-
-func planVariant(tc trace.Ctx, family, kind, variant string, spec Spec, p isa.ConvParams) (*Plan, error) {
-	fn, ok := kernelFamilies[family][variant]
-	if !ok {
-		return nil, fmt.Errorf("ops: unknown %s variant %q", kind, variant)
-	}
-	if spec.AutoSchedule {
-		return autoPlan(tc, family+"/"+variant, spec, p)
-	}
-	return fn(spec, p, ScheduleParams{Mode: variant})
-}
-
-// CompileKernel compiles kernel ("family/variant", e.g.
-// "maxpool_fwd/im2col") under an explicit schedule. A non-empty sp.Mode
-// overrides the variant — the lowering mode is a schedule axis. The
-// search never recurses: AutoSchedule is forced off.
-func CompileKernel(kernel string, spec Spec, p isa.ConvParams, sp ScheduleParams) (*Plan, error) {
-	family, variant, ok := strings.Cut(kernel, "/")
-	if !ok {
-		return nil, fmt.Errorf("ops: kernel %q: want \"family/variant\"", kernel)
-	}
-	table, tok := kernelFamilies[family]
-	if !tok {
-		return nil, fmt.Errorf("ops: unknown kernel family %q (have %v)", family, KernelFamilies())
-	}
-	if sp.Mode != "" {
-		variant = sp.Mode
-	}
-	fn, fok := table[variant]
-	if !fok {
-		return nil, fmt.Errorf("ops: unknown %s variant %q (have %v)", family, variant, KernelVariants(family))
-	}
-	spec.AutoSchedule = false
-	sp.Mode = variant
-	return fn(spec, p, sp)
-}
-
-// PlanMaxPoolForward compiles a forward Maxpool variant ("standard",
-// "im2col", "expansion", "xysplit"). Run takes (in) and returns (out).
-func PlanMaxPoolForward(variant string, spec Spec, p isa.ConvParams) (*Plan, error) {
-	return planVariant(trace.Ctx{}, "maxpool_fwd", "forward", variant, spec, p)
-}
-
-// PlanMaxPoolForwardArgmax compiles a Fig. 7b variant ("standard",
-// "im2col"). Run takes (in) and returns (out, mask).
-func PlanMaxPoolForwardArgmax(variant string, spec Spec, p isa.ConvParams) (*Plan, error) {
-	return planVariant(trace.Ctx{}, "maxpool_fwd_argmax", "argmax", variant, spec, p)
-}
-
-// PlanMaxPoolBackward compiles a Fig. 7c variant ("standard", "col2im").
-// Run takes (mask, grad) and returns (dx).
-func PlanMaxPoolBackward(variant string, spec Spec, p isa.ConvParams) (*Plan, error) {
-	return planVariant(trace.Ctx{}, "maxpool_bwd", "backward", variant, spec, p)
-}
-
-// PlanAvgPoolForward compiles an Avgpool forward variant ("standard",
-// "im2col", "cube"). Run takes (in) and returns (out).
-func PlanAvgPoolForward(variant string, spec Spec, p isa.ConvParams) (*Plan, error) {
-	return planVariant(trace.Ctx{}, "avgpool_fwd", "avgpool", variant, spec, p)
-}
-
-// Cached plan constructors: each compiles at most once per (key, spec) and
-// then serves the shared immutable plan. tc is the caller's tracing
-// context (see Get); pass trace.Ctx{} when not tracing.
-
-// MaxPoolForward is the cached PlanMaxPoolForward.
+// MaxPoolForward is Plan for kernel "maxpool_fwd/<variant>".
 func (c *PlanCache) MaxPoolForward(tc trace.Ctx, variant string, spec Spec, p isa.ConvParams) (*Plan, error) {
-	return c.Get(tc, PlanKey{Kernel: "maxpool_fwd_" + variant, Params: p, Spec: spec}, func(ct trace.Ctx) (*Plan, error) {
-		return planVariant(ct, "maxpool_fwd", "forward", variant, spec, p)
-	})
+	return c.named(tc, "maxpool_fwd/"+variant, spec, p)
 }
 
-// MaxPoolForwardArgmax is the cached PlanMaxPoolForwardArgmax.
-func (c *PlanCache) MaxPoolForwardArgmax(tc trace.Ctx, variant string, spec Spec, p isa.ConvParams) (*Plan, error) {
-	return c.Get(tc, PlanKey{Kernel: "maxpool_fwd_argmax_" + variant, Params: p, Spec: spec}, func(ct trace.Ctx) (*Plan, error) {
-		return planVariant(ct, "maxpool_fwd_argmax", "argmax", variant, spec, p)
-	})
-}
-
-// MaxPoolBackward is the cached PlanMaxPoolBackward.
-func (c *PlanCache) MaxPoolBackward(tc trace.Ctx, variant string, spec Spec, p isa.ConvParams) (*Plan, error) {
-	return c.Get(tc, PlanKey{Kernel: "maxpool_bwd_" + variant, Params: p, Spec: spec}, func(ct trace.Ctx) (*Plan, error) {
-		return planVariant(ct, "maxpool_bwd", "backward", variant, spec, p)
-	})
-}
-
-// AvgPoolForward is the cached PlanAvgPoolForward.
+// AvgPoolForward is Plan for kernel "avgpool_fwd/<variant>".
 func (c *PlanCache) AvgPoolForward(tc trace.Ctx, variant string, spec Spec, p isa.ConvParams) (*Plan, error) {
-	return c.Get(tc, PlanKey{Kernel: "avgpool_fwd_" + variant, Params: p, Spec: spec}, func(ct trace.Ctx) (*Plan, error) {
-		return planVariant(ct, "avgpool_fwd", "avgpool", variant, spec, p)
-	})
+	return c.named(tc, "avgpool_fwd/"+variant, spec, p)
 }
 
-// AvgPoolBackward is the cached PlanAvgPoolBackward.
-func (c *PlanCache) AvgPoolBackward(tc trace.Ctx, spec Spec, p isa.ConvParams, useCol2im bool) (*Plan, error) {
-	kernel := "avgpool_bwd_standard"
-	if useCol2im {
-		kernel = "avgpool_bwd_col2im"
+func (c *PlanCache) named(tc trace.Ctx, name string, spec Spec, p isa.ConvParams) (*Plan, error) {
+	k, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return c.Get(tc, PlanKey{Kernel: kernel, Params: p, Spec: spec}, func(trace.Ctx) (*Plan, error) {
-		return PlanAvgPoolBackward(spec, p, useCol2im)
-	})
-}
-
-// Conv2D is the cached PlanConv2D for co x c logical channels.
-func (c *PlanCache) Conv2D(tc trace.Ctx, spec Spec, p isa.ConvParams, co, channels int) (*Plan, error) {
-	return c.Get(tc, PlanKey{Kernel: "conv2d_im2col_cube", Params: p, Aux: [2]int{co, channels}, Spec: spec}, func(trace.Ctx) (*Plan, error) {
-		return PlanConv2D(spec, p, co, channels)
-	})
-}
-
-// Conv2DBackwardData is the cached PlanConv2DBackwardData.
-func (c *PlanCache) Conv2DBackwardData(tc trace.Ctx, spec Spec, p isa.ConvParams, co, channels int) (*Plan, error) {
-	return c.Get(tc, PlanKey{Kernel: "conv2d_bwd_data", Params: p, Aux: [2]int{co, channels}, Spec: spec}, func(trace.Ctx) (*Plan, error) {
-		return PlanConv2DBackwardData(spec, p, co, channels)
-	})
-}
-
-// Conv2DBackwardWeights is the cached PlanConv2DBackwardWeights.
-func (c *PlanCache) Conv2DBackwardWeights(tc trace.Ctx, spec Spec, p isa.ConvParams, co, channels int) (*Plan, error) {
-	return c.Get(tc, PlanKey{Kernel: "conv2d_bwd_weights", Params: p, Aux: [2]int{co, channels}, Spec: spec}, func(trace.Ctx) (*Plan, error) {
-		return PlanConv2DBackwardWeights(spec, p, co, channels)
-	})
+	return c.Plan(tc, k, spec, Dims{P: p})
 }

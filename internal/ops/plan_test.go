@@ -15,16 +15,17 @@ import (
 	"davinci/internal/trace"
 )
 
-// planCases enumerates one cached-plan constructor per kernel variant
-// (every Maxpool forward, argmax and backward variant, every Avgpool
-// forward variant including the Cube mapping, both Avgpool backward
-// merges, and the three convolution kernels), with ready-to-run inputs.
-func planCases(t *testing.T, p isa.ConvParams) []struct {
+// planCase is one catalogue kernel's cached-plan lookup with
+// ready-to-run single-tile inputs.
+type planCase struct {
 	name   string
 	get    func(c *PlanCache, spec Spec) (*Plan, error)
 	inputs []*tensor.Tensor
-} {
-	t.Helper()
+}
+
+// planCases lists every catalogue kernel, named by its program, with
+// inputs for layer p (the convolutions over one C0 slice).
+func planCases(p isa.ConvParams) []planCase {
 	in := randTile(7, p)
 	mask := ref.ArgmaxMask(in, p)
 	oh, ow := p.OutDims()
@@ -34,67 +35,24 @@ func planCases(t *testing.T, p isa.ConvParams) []struct {
 	}
 	w := tensor.New(tensor.C0, tensor.C0, p.Kh, p.Kw)
 	w.Fill(fp16.FromFloat64(0.25))
-
-	type planCase = struct {
-		name   string
-		get    func(c *PlanCache, spec Spec) (*Plan, error)
-		inputs []*tensor.Tensor
+	inputs := map[string][]*tensor.Tensor{
+		"maxpool_fwd":        {in},
+		"maxpool_fwd_argmax": {in},
+		"maxpool_bwd":        {mask, grad},
+		"avgpool_fwd":        {in},
+		"avgpool_bwd":        {grad},
+		"conv2d":             {in, w},
+		"conv2d_bwd_data":    {grad, w},
+		"conv2d_bwd_weights": {grad, in},
 	}
 	var cases []planCase
-	for _, v := range []string{"standard", "im2col", "expansion", "xysplit"} {
-		variant := v
-		cases = append(cases, planCase{"maxpool_fwd_" + variant,
-			func(c *PlanCache, spec Spec) (*Plan, error) { return c.MaxPoolForward(trace.Ctx{}, variant, spec, p) },
-			[]*tensor.Tensor{in}})
+	for _, k := range Kernels() {
+		cases = append(cases, planCase{k.Program,
+			func(c *PlanCache, spec Spec) (*Plan, error) {
+				return c.Plan(trace.Ctx{}, k, spec, k.Dims(p, tensor.C0, tensor.C0))
+			},
+			inputs[k.Family]})
 	}
-	for _, v := range []string{"standard", "im2col"} {
-		variant := v
-		cases = append(cases, planCase{"maxpool_fwd_argmax_" + variant,
-			func(c *PlanCache, spec Spec) (*Plan, error) {
-				return c.MaxPoolForwardArgmax(trace.Ctx{}, variant, spec, p)
-			},
-			[]*tensor.Tensor{in}})
-		cases = append(cases, planCase{"maxpool_bwd_" + map[string]string{"standard": "standard", "im2col": "col2im"}[variant],
-			func(c *PlanCache, spec Spec) (*Plan, error) {
-				return c.MaxPoolBackward(trace.Ctx{}, map[string]string{"standard": "standard", "im2col": "col2im"}[variant], spec, p)
-			},
-			[]*tensor.Tensor{mask, grad}})
-	}
-	for _, v := range []string{"standard", "im2col", "cube"} {
-		variant := v
-		cases = append(cases, planCase{"avgpool_fwd_" + variant,
-			func(c *PlanCache, spec Spec) (*Plan, error) { return c.AvgPoolForward(trace.Ctx{}, variant, spec, p) },
-			[]*tensor.Tensor{in}})
-	}
-	for _, col2im := range []bool{false, true} {
-		useCol2im := col2im
-		name := "avgpool_bwd_standard"
-		if useCol2im {
-			name = "avgpool_bwd_col2im"
-		}
-		cases = append(cases, planCase{name,
-			func(c *PlanCache, spec Spec) (*Plan, error) {
-				return c.AvgPoolBackward(trace.Ctx{}, spec, p, useCol2im)
-			},
-			[]*tensor.Tensor{grad}})
-	}
-	cases = append(cases,
-		planCase{"conv2d_im2col_cube",
-			func(c *PlanCache, spec Spec) (*Plan, error) {
-				return c.Conv2D(trace.Ctx{}, spec, p, tensor.C0, tensor.C0)
-			},
-			[]*tensor.Tensor{in, w}},
-		planCase{"conv2d_bwd_data",
-			func(c *PlanCache, spec Spec) (*Plan, error) {
-				return c.Conv2DBackwardData(trace.Ctx{}, spec, p, tensor.C0, tensor.C0)
-			},
-			[]*tensor.Tensor{grad, w}},
-		planCase{"conv2d_bwd_weights",
-			func(c *PlanCache, spec Spec) (*Plan, error) {
-				return c.Conv2DBackwardWeights(trace.Ctx{}, spec, p, tensor.C0, tensor.C0)
-			},
-			[]*tensor.Tensor{grad, in}},
-	)
 	return cases
 }
 
@@ -108,12 +66,15 @@ func TestPlanReplayConcurrent(t *testing.T) {
 	spec := Spec{}
 	const goroutines, iters = 8, 4
 
-	for _, tc := range planCases(t, p) {
+	for _, tc := range planCases(p) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Cold path: a fresh cache, one compile, one scheduled run.
 			cold, err := tc.get(NewPlanCache(), spec)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if cold.Name != tc.name {
+				t.Errorf("plan name %q, want the catalogue's program name %q", cold.Name, tc.name)
 			}
 			baseOuts, baseStats, err := cold.Run(newTestCore(), tc.inputs...)
 			if err != nil {
@@ -217,11 +178,15 @@ func TestPlanCacheKeyCollision(t *testing.T) {
 		t.Error("plans for different buffer specs share one cache entry")
 	}
 	// Same params, different logical channels (the Aux key ints).
-	conv16, err := c.Conv2D(trace.Ctx{}, spec, p1, tensor.C0, tensor.C0)
+	conv, err := Lookup("conv2d")
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv32, err := c.Conv2D(trace.Ctx{}, spec, p1, 2*tensor.C0, tensor.C0)
+	conv16, err := c.Plan(trace.Ctx{}, conv, spec, Dims{P: p1, Co: tensor.C0, C: tensor.C0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv32, err := c.Plan(trace.Ctx{}, conv, spec, Dims{P: p1, Co: 2 * tensor.C0, C: tensor.C0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +212,7 @@ func TestPlanCacheKeyCollision(t *testing.T) {
 func TestTraceOneTimelinePerRun(t *testing.T) {
 	p := isa.ConvParams{Ih: 12, Iw: 12, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	in := randTile(5, p)
-	pl, err := PlanMaxPoolForward("im2col", Spec{}, p)
+	pl, err := Compile("maxpool_fwd/im2col", Spec{}, Dims{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +279,7 @@ func BenchmarkPlanCache(b *testing.B) {
 	b.Run("cold-compile", func(b *testing.B) {
 		core := newTestCore()
 		for i := 0; i < b.N; i++ {
-			pl, err := PlanMaxPoolForward("im2col", spec, p)
+			pl, err := Compile("maxpool_fwd/im2col", spec, Dims{P: p})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -367,7 +332,7 @@ func TestPlanCacheSpeedup(t *testing.T) {
 	cold := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < iters; j++ {
-				pl, err := PlanMaxPoolForward("im2col", spec, p)
+				pl, err := Compile("maxpool_fwd/im2col", spec, Dims{P: p})
 				if err != nil {
 					b.Fatal(err)
 				}

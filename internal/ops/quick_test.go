@@ -39,7 +39,7 @@ func TestQuickForwardVariants(t *testing.T) {
 		}
 		in := randTile(seed, p)
 		want := ref.MaxPoolForward(in, p)
-		for _, name := range KernelVariants("maxpool_fwd") {
+		for _, name := range Modes("maxpool_fwd") {
 			got, _, err := runOne(core, "maxpool_fwd/"+name, p, in)
 			if err != nil {
 				t.Logf("%s %+v: %v", name, p, err)
@@ -117,7 +117,7 @@ func TestQuickConstantIdentity(t *testing.T) {
 		v := fp16.FromFloat64(float64(vRaw%32) + 1)
 		in := tensor.New(1, 1, p.Ih, p.Iw, tensor.C0)
 		in.Fill(v)
-		for _, name := range KernelVariants("maxpool_fwd") {
+		for _, name := range Modes("maxpool_fwd") {
 			got, _, err := runOne(core, "maxpool_fwd/"+name, p, in)
 			if err != nil {
 				return false

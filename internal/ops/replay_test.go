@@ -15,7 +15,7 @@ import (
 func replayPlan(t *testing.T) (*Plan, []*tensor.Tensor) {
 	t.Helper()
 	p := isa.ConvParams{Ih: 35, Iw: 35, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
-	pl, err := PlanMaxPoolForward("im2col", Spec{}, p)
+	pl, err := Compile("maxpool_fwd/im2col", Spec{}, Dims{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -325,12 +325,6 @@ func autoPlan(tc trace.Ctx, kernel string, spec Spec, p isa.ConvParams) (*Plan, 
 	return autoScheduler(kernel, spec, p, tc)
 }
 
-// AutoScheduled compiles kernel ("family/variant") through the registered
-// schedule search, regardless of spec.AutoSchedule.
-func AutoScheduled(kernel string, spec Spec, p isa.ConvParams) (*Plan, error) {
-	return autoPlan(trace.Ctx{}, kernel, spec, p)
-}
-
 // attachNoSearchReport marks a plan compiled under an AutoSchedule spec
 // whose kernel exposes no searchable schedule axes (the Cube-unit
 // convolutions): the default is the only point in the space. The report

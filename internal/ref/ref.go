@@ -270,9 +270,9 @@ func Conv2DBackwardData(grad, weights *tensor.Tensor, p isa.ConvParams, c int) *
 }
 
 // Conv2DBackwardWeights computes the convolution weight gradient:
-// dW[oc, ic, xk, yk] = sum over patches of dY[oc, patch] * x[(ic, xk, yk)
-// element of the patch], accumulated in float32 with one final rounding
-// (the Cube unit's contraction over the patch dimension).
+// dW[oc, ic, xk, yk] = sum over images and patches of dY[oc, patch] *
+// x[(ic, xk, yk) element of the patch], accumulated in float32 with one
+// final rounding (the Cube unit's contraction over the patch dimension).
 func Conv2DBackwardWeights(grad, x *tensor.Tensor, p isa.ConvParams, co, c int) *tensor.Tensor {
 	_, ow := p.OutDims()
 	patches := p.Patches()
@@ -282,10 +282,12 @@ func Conv2DBackwardWeights(grad, x *tensor.Tensor, p isa.ConvParams, co, c int) 
 			for xk := 0; xk < p.Kh; xk++ {
 				for yk := 0; yk < p.Kw; yk++ {
 					var acc float32
-					for pt := 0; pt < patches; pt++ {
-						g := grad.At(0, oc/tensor.C0, pt/ow, pt%ow, oc%tensor.C0)
-						v := sampleZeroPad(x, p, 0, ic/tensor.C0, pt, xk, yk, ic%tensor.C0)
-						acc += g.Float32() * v.Float32()
+					for n := 0; n < grad.Shape[0]; n++ {
+						for pt := 0; pt < patches; pt++ {
+							g := grad.At(n, oc/tensor.C0, pt/ow, pt%ow, oc%tensor.C0)
+							v := sampleZeroPad(x, p, n, ic/tensor.C0, pt, xk, yk, ic%tensor.C0)
+							acc += g.Float32() * v.Float32()
+						}
 					}
 					dw.Set(fp16.FromFloat32(acc), oc, ic, xk, yk)
 				}

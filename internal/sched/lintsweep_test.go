@@ -23,12 +23,12 @@ import (
 // concrete lint at seal time.
 var strictSpec = ops.Spec{Strict: true}
 
-// allKernels lists every "family/variant" of the ops dispatch table.
+// allKernels lists every catalogue kernel with a schedule space.
 func allKernels() []string {
 	var out []string
-	for _, fam := range ops.KernelFamilies() {
-		for _, v := range ops.KernelVariants(fam) {
-			out = append(out, fam+"/"+v)
+	for _, k := range ops.Kernels() {
+		if k.Fixed == "" {
+			out = append(out, k.Name)
 		}
 	}
 	return out

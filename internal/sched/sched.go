@@ -121,7 +121,7 @@ func Search(kernel string, spec ops.Spec, p isa.ConvParams, o Options) (*Result,
 	modes := []string{variant}
 	if !o.SameModeOnly {
 		modes = modes[:0]
-		for _, m := range ops.KernelVariants(family) {
+		for _, m := range ops.Modes(family) {
 			if m == variant {
 				continue
 			}

@@ -160,7 +160,7 @@ func TestSearchReportInvariants(t *testing.T) {
 // plan carries a search report.
 func TestAutoScheduleSpecDispatch(t *testing.T) {
 	p := isa.ConvParams{Ih: 28, Iw: 28, Kh: 2, Kw: 2, Sh: 2, Sw: 2}
-	pl, err := ops.PlanMaxPoolForward("standard", ops.Spec{AutoSchedule: true}, p)
+	pl, err := ops.Compile("maxpool_fwd/standard", ops.Spec{AutoSchedule: true}, ops.Dims{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestAutoScheduleSpecDispatch(t *testing.T) {
 	}
 
 	// Off keeps the hand-written plan untouched, with no report.
-	def, err := ops.PlanMaxPoolForward("standard", ops.Spec{}, p)
+	def, err := ops.Compile("maxpool_fwd/standard", ops.Spec{}, ops.Dims{P: p})
 	if err != nil {
 		t.Fatal(err)
 	}

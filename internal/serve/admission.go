@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"davinci/internal/ops"
-	"davinci/internal/ref"
 	"davinci/internal/tensor"
-	"davinci/internal/trace"
 )
 
 // Submit admits one request and returns its ticket. The returned ticket
@@ -43,7 +41,8 @@ func (s *Server) Submit(ctx context.Context, req Request) *Ticket {
 	}
 
 	// Validate before compiling: cheap structural checks first.
-	if err := s.validate(&req); err != nil {
+	k, err := s.validate(&req)
+	if err != nil {
 		outcome("invalid")
 		s.resolve(p, &Response{Outcome: OutcomeRejected, Err: err, Reason: "invalid", Chip: -1}, false)
 		return p.ticket
@@ -54,7 +53,7 @@ func (s *Server) Submit(ctx context.Context, req Request) *Ticket {
 	// never compiles; a cold shape pays its compile here, off the
 	// dispatcher hot path. Strict spec: each compile lints its program
 	// concretely before the plan is sealed.
-	plan, err := s.compile(admit.Ctx(), &req)
+	plan, err := s.plans.Plan(admit.Ctx(), k, s.spec, ops.Dims{P: req.Params})
 	if err != nil {
 		outcome("invalid")
 		s.resolve(p, &Response{
@@ -98,7 +97,7 @@ func (s *Server) Submit(ctx context.Context, req Request) *Ticket {
 		s.mu.Unlock()
 		outcome("shed")
 		if s.cfg.DegradeOnOverload {
-			out := s.refCompute(&req)
+			out := refCompute(k, &req)
 			s.resolve(p, &Response{Outcome: OutcomeDegraded, Output: out, Reason: "overload", Chip: -1}, false)
 		} else {
 			s.resolve(p, &Response{
@@ -123,7 +122,7 @@ func (s *Server) Submit(ctx context.Context, req Request) *Ticket {
 		}
 	}
 
-	key := shapeKey{kernel: req.Kernel, variant: req.variant(), params: req.Params, c1: req.Input.Shape[1]}
+	key := shapeKey{kernel: k, params: req.Params, c1: req.Input.Shape[1]}
 	g := s.groups[key]
 	if g == nil {
 		g = &group{key: key, plan: plan}
@@ -161,46 +160,26 @@ func (s *Server) Submit(ctx context.Context, req Request) *Ticket {
 	return p.ticket
 }
 
-// validate runs the structural checks that don't need a compile.
-func (s *Server) validate(req *Request) error {
-	if req.Kernel != "maxpool" && req.Kernel != "avgpool" {
-		return fmt.Errorf("%w: unknown kernel %q", ErrInvalid, req.Kernel)
-	}
-	if req.Input == nil {
-		return fmt.Errorf("%w: nil input", ErrInvalid)
-	}
-	sh := req.Input.Shape
-	if len(sh) != 5 || sh[4] != tensor.C0 {
-		return fmt.Errorf("%w: want an NC1HWC0 tensor, got %v", ErrInvalid, sh)
-	}
-	if sh[2] != req.Params.Ih || sh[3] != req.Params.Iw {
-		return fmt.Errorf("%w: input %dx%d does not match params %dx%d",
-			ErrInvalid, sh[2], sh[3], req.Params.Ih, req.Params.Iw)
+// validate resolves the request's catalogue kernel and runs the
+// structural checks that don't need a compile.
+func (s *Server) validate(req *Request) (*ops.Kernel, error) {
+	k, err := ops.Lookup(req.Kernel + "_fwd/" + req.variant())
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	if err := req.Params.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	return nil
+	if _, _, err := k.Grid(ops.Dims{P: req.Params}, []*tensor.Tensor{req.Input}); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	return k, nil
 }
 
-// compile resolves the request's plan through the shared cache.
-func (s *Server) compile(tc trace.Ctx, req *Request) (*ops.Plan, error) {
-	switch req.Kernel {
-	case "maxpool":
-		return s.plans.MaxPoolForward(tc, req.variant(), s.spec, req.Params)
-	case "avgpool":
-		return s.plans.AvgPoolForward(tc, req.variant(), s.spec, req.Params)
-	default:
-		return nil, fmt.Errorf("unknown kernel %q", req.Kernel)
-	}
-}
-
-// refCompute serves a request from the golden model (degraded path).
-func (s *Server) refCompute(req *Request) *tensor.Tensor {
-	if req.Kernel == "avgpool" {
-		return ref.AvgPoolForward(req.Input, req.Params)
-	}
-	return ref.MaxPoolForward(req.Input, req.Params)
+// refCompute serves a request from kernel k's golden model (degraded
+// path).
+func refCompute(k *ops.Kernel, req *Request) *tensor.Tensor {
+	return k.Golden(ops.Dims{P: req.Params}, []*tensor.Tensor{req.Input})[0]
 }
 
 // shedsLocked decides whether the shedding controller drops p. Classes

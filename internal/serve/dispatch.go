@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"davinci/internal/fp16"
+	"davinci/internal/ops"
 	"davinci/internal/tensor"
 )
 
@@ -163,7 +164,7 @@ func (s *Server) runBatch(sl *slot, b *batch) {
 
 	span := s.tc.StartSpan("serve_batch",
 		"chip", strconv.Itoa(sl.id),
-		"impl", b.key.kernel+"_fwd_"+b.key.variant,
+		"impl", b.key.kernel.Program,
 		"size", strconv.Itoa(len(b.members)))
 	for _, p := range b.members {
 		p.span.Link("batch", span.ID())
@@ -215,14 +216,7 @@ func (s *Server) runBatch(sl *slot, b *batch) {
 	}
 
 	view := sl.chip.WithContext(bctx).WithTrace(span.Ctx())
-	var out *tensor.Tensor
-	var err error
-	switch b.key.kernel {
-	case "avgpool":
-		out, _, err = view.AvgPoolForward(b.key.variant, in, b.key.params)
-	default:
-		out, _, err = view.MaxPoolForward(b.key.variant, in, b.key.params)
-	}
+	outs, _, err := view.Run(b.key.kernel.Name, ops.Dims{P: b.key.params}, in)
 
 	switch {
 	case err == nil:
@@ -235,7 +229,7 @@ func (s *Server) runBatch(sl *slot, b *batch) {
 		for _, p := range b.members {
 			n := p.req.Input.Shape[0]
 			t := tensor.New(n, c1, oh, ow, tensor.C0)
-			copy(t.Data, out.Data[off:off+n*stride])
+			copy(t.Data, outs[0].Data[off:off+n*stride])
 			off += n * stride
 			s.resolve(p, &Response{
 				Outcome:   OutcomeCompleted,
@@ -272,7 +266,7 @@ func (s *Server) runBatch(sl *slot, b *batch) {
 			if s.cfg.DegradeOnFailure {
 				s.resolve(p, &Response{
 					Outcome:   OutcomeDegraded,
-					Output:    s.refCompute(&p.req),
+					Output:    refCompute(b.key.kernel, &p.req),
 					Reason:    "exec",
 					Chip:      sl.id,
 					BatchSize: len(b.members),

@@ -292,13 +292,12 @@ type Server struct {
 	hLatency   *obs.Histogram
 }
 
-// shapeKey identifies a batchable shape: identical kernel, variant and
+// shapeKey identifies a batchable shape: identical catalogue kernel and
 // parameters. Inputs sharing a key concatenate along N into one batch.
 type shapeKey struct {
-	kernel  string
-	variant string
-	params  isa.ConvParams
-	c1      int // channel-split count; batching needs homogeneous C1
+	kernel *ops.Kernel
+	params isa.ConvParams
+	c1     int // channel-split count; batching needs homogeneous C1
 }
 
 // pending is one queued (or in-flight) request.
