@@ -34,11 +34,16 @@ const (
 	fAcc
 	// fCvt converts n float32 elements to Float16 (L0C -> UB move).
 	fCvt
+	// fFold runs a vmax reduction chain in one pass (fp16.MaxFold): n
+	// lanes at dst start at scalar, then for each of rows sources, source s
+	// at src+s*sStride, dst = max(source, dst). Its member ops, unfused,
+	// are FlatProgram.members[src1 : src1+rows+1].
+	fFold
 )
 
 // flatOp is one primitive data operation of a flattened program. Byte
-// offsets are resolved; n counts lanes for fVec/fVecMasked/fAcc/fCvt and
-// bytes for fMove/fZero/fGather (per row). Every plan is flattened on its
+// offsets are resolved; n counts lanes for fVec/fVecMasked/fAcc/fCvt/fFold
+// and bytes for fMove/fZero/fGather (per row). Every plan is flattened on its
 // first memoized replay, so the struct is kept small: fInstr finds its
 // instruction through idx rather than holding it.
 type flatOp struct {
@@ -54,7 +59,7 @@ type flatOp struct {
 	src1   int
 	n      int
 	// fGather: the row count and the per-row destination and source
-	// strides in bytes.
+	// strides in bytes; fFold: the source count and stride.
 	rows, dStride, sStride int
 	idx                    int // originating instruction index
 }
@@ -63,14 +68,18 @@ type flatOp struct {
 // instruction decode, lane masking, repeat/block address arithmetic and the
 // SCU's positional walk are resolved once into a linear list of primitive
 // data operations, with adjacent operations coalesced whenever doing so
-// preserves the exact elementary load/op/store order. Replaying the trace
-// is bit-identical to interpreting the program instruction by instruction,
-// but amortizes all per-lane bookkeeping — which is what makes cached plan
-// replay cheap. Flattening never affects timing: cycle counts come from the
-// scheduled (interpretive) pass and are memoized separately.
+// preserves the exact elementary load/op/store order, and vmax reduction
+// chains fused whenever every lane keeps its exact sequence of operations
+// (foldChains). Replaying the trace is bit-identical to interpreting the
+// program instruction by instruction, but amortizes all per-lane
+// bookkeeping — which is what makes cached plan replay cheap. Flattening
+// never affects timing: cycle counts come from the scheduled
+// (interpretive) pass and are memoized separately.
 type FlatProgram struct {
 	prog *cce.Program
 	ops  []flatOp
+	// members holds the ops each fFold replaced, in order.
+	members []flatOp
 }
 
 // Flatten builds the functional trace of prog. It depends only on the
@@ -100,6 +109,7 @@ func Flatten(prog *cce.Program) *FlatProgram {
 			fp.fallback(idx)
 		}
 	}
+	fp.foldChains()
 	return fp
 }
 
@@ -311,6 +321,71 @@ func (fp *FlatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
 	}
 }
 
+// foldChains replaces each vmax reduction chain of the trace with one
+// fFold op. A chain is a full-mask vector_dup of a range followed by
+// k >= 2 full-mask vmax ops of the form dst = max(src_s, dst) over that
+// same range, whose sources sit at a constant stride >= 0 and do not
+// overlap it: the Im2col Maxpool reduction, Kh*Kw passes over one band.
+// Each lane goes through the same ops with the same operands in the same
+// order fused or not, so the fold is bit-identical. The members move to
+// fp.members, so a fold whose bounds fail runs them instead.
+func (fp *FlatProgram) foldChains() {
+	ops := fp.ops
+	fp.ops = ops[:0] // compacts in place: a fold's members are copied out first
+	for i := 0; i < len(ops); {
+		k := chainLen(ops[i:])
+		if k < 2 {
+			fp.ops = append(fp.ops, ops[i])
+			i++
+			continue
+		}
+		dup, first := ops[i], ops[i+1]
+		fold := flatOp{
+			kind: fFold, scalar: dup.scalar,
+			dBuf: dup.dBuf, dst: dup.dst, n: dup.n,
+			sBuf: first.sBuf, src: first.src, rows: k, sStride: ops[i+2].src - first.src,
+			src1: len(fp.members), idx: dup.idx,
+		}
+		fp.members = append(fp.members, ops[i:i+1+k]...)
+		fp.ops = append(fp.ops, fold)
+		i += 1 + k
+	}
+}
+
+// chainLen returns how many vmax ops follow a dup at ops[0] as one
+// foldable chain (see foldChains), or 0.
+func chainLen(ops []flatOp) int {
+	if len(ops) < 3 || ops[0].kind != fVec || ops[0].op != isa.VDup {
+		return 0
+	}
+	d := &ops[0]
+	first := &ops[1]
+	nb := d.n * fp16.Bytes
+	stride := 0
+	k := 0
+	for _, op := range ops[1:] {
+		if op.kind != fVec || op.op != isa.VMax || op.n != d.n ||
+			op.dBuf != d.dBuf || op.dst != d.dst || op.s1Buf != d.dBuf || op.src1 != d.dst ||
+			op.sBuf != first.sBuf {
+			break
+		}
+		if k == 1 {
+			stride = op.src - first.src
+		}
+		if k > 0 && (stride < 0 || op.src != first.src+k*stride) {
+			break
+		}
+		if op.sBuf == d.dBuf && op.src < d.dst+nb && d.dst < op.src+nb {
+			break // the source overlaps the destination
+		}
+		k++
+	}
+	if k < 2 {
+		return 0
+	}
+	return k
+}
+
 // ExecFlat functionally executes a flattened trace, in trace (= program)
 // order. Like ExecOnly it performs no scheduling and records no timing;
 // buffer contents afterwards are bit-identical to Run on the original
@@ -319,16 +394,45 @@ func (c *Core) ExecFlat(fp *FlatProgram) error {
 	if c.OnProgram != nil {
 		c.OnProgram(fp.prog)
 	}
-	for i := range fp.ops {
-		op := &fp.ops[i]
+	return c.execOps(fp, fp.ops)
+}
+
+// execOps runs ops in order. A fold whose bounds fail runs its members
+// unfused instead, so the error names the instruction the interpreter
+// would name, after the same writes.
+func (c *Core) execOps(fp *FlatProgram, ops []flatOp) error {
+	for i := range ops {
+		op := &ops[i]
 		if c.interrupted() {
 			return fmt.Errorf("aicore: %s instr %d: %w", fp.prog.Name, op.idx, ErrInterrupted)
+		}
+		if op.kind == fFold {
+			if !c.execFold(op) {
+				if err := c.execOps(fp, fp.members[op.src1:op.src1+op.rows+1]); err != nil {
+					return err
+				}
+			}
+			continue
 		}
 		if err := c.execFlat(fp.prog, op); err != nil {
 			return fmt.Errorf("aicore: %s instr %d (%s): %w", fp.prog.Name, op.idx, fp.prog.Instrs[op.idx], err)
 		}
 	}
 	return nil
+}
+
+// execFold runs a vmax reduction chain fused, or reports false, having
+// written nothing, when any of its accesses is out of bounds. The sources
+// lie on a line, so the first and last bound them all.
+func (c *Core) execFold(op *flatOp) bool {
+	nb := op.n * fp16.Bytes
+	dst, src := c.Mem.Mem(op.dBuf), c.Mem.Mem(op.sBuf)
+	end := op.src + (op.rows-1)*op.sStride + nb
+	if op.dst < 0 || op.dst+nb > len(dst) || op.src < 0 || end > len(src) {
+		return false
+	}
+	fp16.MaxFold(dst[op.dst:op.dst+nb], op.scalar, src[op.src:end], op.sStride, op.rows)
+	return true
 }
 
 func flatBounds(off, n, size int) error {

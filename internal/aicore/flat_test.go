@@ -10,6 +10,7 @@ import (
 	"davinci/internal/aicore"
 	"davinci/internal/buffer"
 	"davinci/internal/cce"
+	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/kernelcases"
 	"davinci/internal/ops"
@@ -77,10 +78,11 @@ func TestFlatMatchesInterpreterEveryKernel(t *testing.T) {
 	t.Logf("flattened replay matched the interpreter on %d kernel x layer programs", checked)
 }
 
-// TestFlatGatherFusion pins the gather fusion: one 147x147 im2col
-// maxpool tile flattens to at most 1,000 ops (48,125 as one move per
-// Im2Col row), and the op itself must not grow, since every plan is
-// flattened on its first memoized replay.
+// TestFlatGatherFusion pins the flat-trace fusions on one 147x147 im2col
+// maxpool tile: it flattens to at most 1,000 ops (48,125 as one move per
+// Im2Col row) with every vmax folded into a reduction chain, and the op
+// itself must not grow, since every plan is flattened on its first
+// memoized replay.
 func TestFlatGatherFusion(t *testing.T) {
 	p := isa.ConvParams{Ih: 147, Iw: 147, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	pl, err := ops.Compile("maxpool_fwd/im2col", ops.Spec{}, ops.Dims{P: p})
@@ -94,8 +96,72 @@ func TestFlatGatherFusion(t *testing.T) {
 	if aicore.FlatGathers(fp) == 0 {
 		t.Error("no gather ops emitted")
 	}
+	if n := aicore.FlatVecOps(fp, isa.VMax); n != 0 || aicore.FlatFolds(fp) == 0 {
+		t.Errorf("maxpool_fwd/im2col leaves %d vmax ops unfused (%d folds)", n, aicore.FlatFolds(fp))
+	}
 	if aicore.FlatOpBytes > 104 {
 		t.Errorf("flatOp is %d bytes, want <= 104", aicore.FlatOpBytes)
+	}
+}
+
+// reduceChain builds a vector_dup of one 128-lane repeat at UB offset 0,
+// then three vmax ops dst = max(src_s, dst) with sources at first,
+// first+stride and first+2*stride.
+func reduceChain(name string, first, stride int) *cce.Program {
+	prog := cce.New(name)
+	dst := isa.Contig(isa.UB, 0)
+	prog.EmitVec(isa.VDup, dst, isa.Operand{}, isa.Operand{}, fp16.NegativeInfinity, isa.FullMask(), 1)
+	for s := 0; s < 3; s++ {
+		prog.EmitVec(isa.VMax, dst, isa.Contig(isa.UB, first+s*stride), dst, 0, isa.FullMask(), 1)
+	}
+	return prog
+}
+
+// TestFlatFoldSkipsOverlap: a chain folds into one op when its sources
+// lie apart from the destination, and stays unfused when a source
+// overlaps it.
+func TestFlatFoldSkipsOverlap(t *testing.T) {
+	if fp := aicore.Flatten(reduceChain("apart", 1024, 512)); aicore.FlatOps(fp) != 1 || aicore.FlatFolds(fp) != 1 {
+		t.Errorf("disjoint chain: %d ops, %d folds, want one fold", aicore.FlatOps(fp), aicore.FlatFolds(fp))
+	}
+	fp := aicore.Flatten(reduceChain("overlap", 128, 512))
+	if aicore.FlatFolds(fp) != 0 || aicore.FlatVecOps(fp, isa.VMax) == 0 {
+		t.Errorf("overlapping chain: %d folds, %d vmax ops, want the vmax ops unfused", aicore.FlatFolds(fp), aicore.FlatVecOps(fp, isa.VMax))
+	}
+}
+
+// TestFlatReduceOverrun: a reduction chain whose last source overruns its
+// buffer flattens to one fold, which fails the way the interpreter does:
+// the error names the overrunning vmax, and the dup and the earlier vmax
+// ops have left the same bytes behind.
+func TestFlatReduceOverrun(t *testing.T) {
+	const ub = 4096
+	prog := reduceChain("overrun", 1024, 1536) // the last source is [4096, 4352)
+	fp := aicore.Flatten(prog)
+	if aicore.FlatOps(fp) != 1 || aicore.FlatFolds(fp) != 1 {
+		t.Fatalf("want one fold op, got %d ops (%d folds)", aicore.FlatOps(fp), aicore.FlatFolds(fp))
+	}
+	run := func(exec func(*aicore.Core) error) ([]byte, error) {
+		c := aicore.New(buffer.Config{UBSize: ub}, nil)
+		m := c.Mem.Mem(isa.UB)
+		for i := 0; i < len(m); i += fp16.Bytes {
+			fp16.Store(m, i, fp16.FromFloat64(float64(i%97)-48))
+		}
+		err := exec(c)
+		return m, err
+	}
+	ubI, errI := run(func(c *aicore.Core) error { return c.ExecOnly(prog) })
+	ubF, errF := run(func(c *aicore.Core) error { return c.ExecFlat(fp) })
+	if errI == nil || errF == nil {
+		t.Fatalf("want both paths to fail: interpreted %v, flattened %v", errI, errF)
+	}
+	for _, err := range []error{errI, errF} {
+		if !strings.Contains(err.Error(), "overrun instr 3 ") || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("error %q does not name the overrunning vmax", err)
+		}
+	}
+	if !bytes.Equal(ubI, ubF) {
+		t.Error("the failing fold left different bytes than the interpreter")
 	}
 }
 

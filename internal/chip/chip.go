@@ -408,15 +408,33 @@ func (rs *runScope) end(st *Stats, err error) {
 	rs.span.End()
 }
 
-// Run runs catalogue kernel name (ops.Lookup) over whole tensors. It
-// checks every input against the kernel's shapes for d before anything
-// compiles or runs, compiles the kernel once through the chip's plan
-// cache, replays the plan on every tile of the grid the inputs span —
-// (N, C1) for the pooling kernels, N for the convolutions — and
-// assembles the outputs as the catalogue says. A tile that exhausts its
-// hardware attempts under Resilience.Degrade is computed by the kernel's
-// golden model.
-func (c *Chip) Run(kernel string, d ops.Dims, inputs ...*tensor.Tensor) (outs []*tensor.Tensor, st *Stats, err error) {
+// Run runs catalogue kernel name (ops.Lookup) over whole tensors: a
+// batch of one member (RunBatch).
+func (c *Chip) Run(kernel string, d ops.Dims, inputs ...*tensor.Tensor) ([]*tensor.Tensor, *Stats, error) {
+	outs, st, err := c.RunBatch(kernel, d, [][]*tensor.Tensor{inputs})
+	if err != nil {
+		return nil, nil, err
+	}
+	return outs[0], st, nil
+}
+
+// RunBatch runs catalogue kernel name (ops.Lookup) over a batch: each
+// member is a list of whole input tensors, as Run takes them, and gets
+// its own outputs back. It checks every member's inputs against the
+// kernel's shapes for d before anything compiles or runs, compiles the
+// kernel once through the chip's plan cache, and replays the plan on
+// every tile of the grid the members span — (N, C1) for the pooling
+// kernels, N for the convolutions — with the members' images laid end to
+// end along N. So tile placement, fault decisions and every cycle are
+// those of one run over the members' inputs concatenated along N, and
+// every member must span the same C1. Each tile reads its input planes
+// in place, as views of its member's tensors (NC1HWC0 tile planes are
+// contiguous), and never writes them. Each member's outputs are
+// assembled as the catalogue says: per tile at the tile's position, or
+// summed over the member's images in image order. A tile that exhausts
+// its hardware attempts under Resilience.Degrade is computed by the
+// kernel's golden model.
+func (c *Chip) RunBatch(kernel string, d ops.Dims, members [][]*tensor.Tensor) (outs [][]*tensor.Tensor, st *Stats, err error) {
 	k, err := ops.Lookup(kernel)
 	if err != nil {
 		return nil, nil, fmt.Errorf("chip: %w", err)
@@ -426,34 +444,57 @@ func (c *Chip) Run(kernel string, d ops.Dims, inputs ...*tensor.Tensor) (outs []
 	if err := d.P.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("chip: %w", err)
 	}
-	n, c1, err := k.Grid(d, inputs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("chip: %w", err)
+	// start[m] is member m's first image on the batch grid; owner maps an
+	// image back to its member.
+	start := make([]int, len(members)+1)
+	var owner []int
+	c1 := 0
+	for m, inputs := range members {
+		n, mc1, err := k.Grid(d, inputs)
+		if err != nil {
+			return nil, nil, fmt.Errorf("chip: %w", err)
+		}
+		if m > 0 && mc1 != c1 {
+			return nil, nil, fmt.Errorf("chip: %s: batch member %d spans %d C1 slices, member 0 spans %d", k.Name, m, mc1, c1)
+		}
+		c1 = mc1
+		start[m+1] = start[m] + n
+		for range n {
+			owner = append(owner, m)
+		}
 	}
 	pl, err := rs.plan(func(ct trace.Ctx) (*ops.Plan, error) { return c.plans.Plan(ct, k, c.spec, d) })
 	if err != nil {
 		return nil, nil, fmt.Errorf("chip: %w", err)
 	}
+	// shapes and planes are each tiled input's tile shape and bytes.
 	shapes := make([][]int, len(k.Inputs))
+	planes := make([]int, len(k.Inputs))
 	for i, in := range k.Inputs {
 		if in.Tiling != ops.Shared {
 			shapes[i] = in.Shape(d)
+			planes[i] = fp16.Bytes
+			for _, v := range shapes[i] {
+				planes[i] *= v
+			}
 		}
 	}
-	// tile returns the inputs of tile (ni, ci): the tile is run ni*c1+ci of
-	// every tiled input, N-major as the layouts are.
-	tile := func(ni, ci int) []*tensor.Tensor {
-		ts := make([]*tensor.Tensor, len(inputs))
-		for i, t := range inputs {
+	// tile returns the inputs of tile (gn, ci) of the batch grid: views of
+	// plane ni*c1+ci of each tiled input of the member holding image gn,
+	// ni being its index there, N-major as the layouts are.
+	tile := func(gn, ci int) []*tensor.Tensor {
+		m := owner[gn]
+		ts := make([]*tensor.Tensor, len(members[m]))
+		for i, t := range members[m] {
 			ts[i] = t
-			if shapes[i] != nil {
-				ts[i] = tensor.New(shapes[i]...)
-				copy(ts[i].Data, t.Data[(ni*c1+ci)*len(ts[i].Data):])
+			if b := planes[i]; b > 0 {
+				off := ((gn-start[m])*c1 + ci) * b
+				ts[i] = &tensor.Tensor{Shape: shapes[i], Data: t.Data[off : off+b : off+b]}
 			}
 		}
 		return ts
 	}
-	results, stats, err := c.runTiles(rs, n, c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+	results, stats, err := c.runTiles(rs, start[len(members)], c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
 		return pl.Run(core, tile(ni, ci)...)
 	}, func(ni, ci int) []*tensor.Tensor {
 		return k.Golden(d, tile(ni, ci))
@@ -461,27 +502,36 @@ func (c *Chip) Run(kernel string, d ops.Dims, inputs ...*tensor.Tensor) (outs []
 	if err != nil {
 		return nil, nil, err
 	}
-	outs = make([]*tensor.Tensor, len(k.Outputs))
-	for i, o := range k.Outputs {
-		shape := o.Shape(d)
-		if o.Assembly == ops.PerTile {
-			// A tile's result is 1 in the grid's dimensions (and c1 is 1
-			// for a kernel tiled by image).
-			shape[0], shape[1] = n, shape[1]*c1
+	grid := make([]*tileResult, start[len(members)]*c1)
+	for _, done := range results {
+		for j := range done {
+			grid[done[j].n*c1+done[j].c1] = &done[j]
 		}
-		outs[i] = tensor.New(shape...)
 	}
-	for _, rs := range results {
-		for _, r := range rs {
+	outs = make([][]*tensor.Tensor, len(members))
+	for m := range members {
+		mo := make([]*tensor.Tensor, len(k.Outputs))
+		for i, o := range k.Outputs {
+			shape := o.Shape(d)
+			if o.Assembly == ops.PerTile {
+				// A tile's result is 1 in the grid's dimensions (and c1 is
+				// 1 for a kernel tiled by image).
+				shape[0], shape[1] = start[m+1]-start[m], shape[1]*c1
+			}
+			mo[i] = tensor.New(shape...)
+		}
+		tiles := grid[start[m]*c1 : start[m+1]*c1]
+		for t, r := range tiles {
 			for i, o := range k.Outputs {
 				if o.Assembly == ops.BatchSum {
-					fp16.AddSlice(outs[i].Data, outs[i].Data, r.outs[i].Data)
+					fp16.AddSlice(mo[i].Data, mo[i].Data, r.outs[i].Data)
 					continue
 				}
 				b := r.outs[i].Bytes()
-				copy(outs[i].Data[(r.n*c1+r.c1)*b:], r.outs[i].Data)
+				copy(mo[i].Data[t*b:], r.outs[i].Data)
 			}
 		}
+		outs[m] = mo
 	}
 	return outs, stats, nil
 }

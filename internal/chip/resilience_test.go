@@ -12,6 +12,7 @@ import (
 
 	"davinci/internal/aicore"
 	"davinci/internal/faults"
+	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/kernelcases"
 	"davinci/internal/ops"
@@ -387,6 +388,14 @@ func TestValidateAtEntryPoints(t *testing.T) {
 		inputs[len(inputs)-1] = tensor.New(shape...)
 		if _, _, err := c.Run(k.Name, d, inputs...); err == nil {
 			t.Errorf("%s accepted input %d of shape %v", k.Name, len(inputs)-1, shape)
+		}
+		// Tiles read input planes in place, so data shorter than its
+		// shape must fail as early.
+		inputs = kernelcases.Tensors(k, d, 2, 2, func(*tensor.Tensor) {})
+		last = inputs[len(inputs)-1]
+		inputs[len(inputs)-1] = &tensor.Tensor{Shape: last.Shape, Data: last.Data[:len(last.Data)-fp16.Bytes]}
+		if _, _, err := c.Run(k.Name, d, inputs...); err == nil {
+			t.Errorf("%s accepted input %d with %d bytes for shape %v", k.Name, len(inputs)-1, len(last.Data)-fp16.Bytes, last.Shape)
 		}
 	}
 	// The cases of the typed entry points: a 16x16 image for 8x8 params,

@@ -9,7 +9,8 @@ import (
 )
 
 // The exhaustive suite checks every lane kernel against its scalar oracle
-// on all 2^32 operand pairs (every (a, s) pair for the scalar kernels).
+// on all 2^32 operand pairs (every (a, s) pair for the scalar kernels),
+// and MaxFold on all 2^32 (accumulator, source) pairs.
 // Each kernel takes tens of seconds on two CPUs, so it is gated behind a
 // build tag:
 //
@@ -53,3 +54,41 @@ func TestExhaustiveSubSlice(t *testing.T)  { sweepAll(t, laneKernels()[3]) }
 func TestExhaustiveMulSlice(t *testing.T)  { sweepAll(t, laneKernels()[4]) }
 func TestExhaustiveAddsSlice(t *testing.T) { sweepAll(t, laneKernels()[5]) }
 func TestExhaustiveMulsSlice(t *testing.T) { sweepAll(t, laneKernels()[6]) }
+
+// TestExhaustiveMaxFold checks a 2-source MaxFold over every
+// (accumulator, source) pair at its first step: call v seeds the
+// accumulator with v and the first source holds every value, so the 2^16
+// calls cover all 2^32 pairs. The second source, a permutation of every
+// value that differs per call, then steps each result once more. Every
+// lane must equal the scalar chain Max(src1, Max(src0, v)).
+func TestExhaustiveMaxFold(t *testing.T) {
+	all := allValues()
+	n := len(all)
+	var wg sync.WaitGroup
+	var once sync.Once
+	workers := runtime.GOMAXPROCS(0)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			src, dst := make([]byte, 2*n), make([]byte, n)
+			copy(src, all)
+			for v := w; v < 1<<16; v += workers {
+				for i := 0; i < n; i += Bytes {
+					Store(src, n+i, Float16(i/Bytes*0x9e37+v))
+				}
+				MaxFold(dst, Float16(v), src, n, 2)
+				for i := 0; i < n; i += Bytes {
+					s0, s1 := Load(src, i), Load(src, n+i)
+					if got, want := Load(dst, i), Max(s1, Max(s0, Float16(v))); got != want {
+						once.Do(func() {
+							t.Errorf("MaxFold(init %#04x; %#04x, %#04x) = %#04x, want %#04x", v, s0, s1, got, want)
+						})
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

@@ -149,7 +149,7 @@ func maxWord(x, y uint64) uint64 {
 	if nanLanes(x)|nanLanes(y)|zeroLanes(x|y) != 0 {
 		return scalarWord(x, y, Max)
 	}
-	return x ^ (x^y)&spread(lessLanes(x, y)^(x|y))
+	return maxOrdered(x, y)
 }
 
 func minWord(x, y uint64) uint64 {
@@ -158,6 +158,11 @@ func minWord(x, y uint64) uint64 {
 	}
 	return x ^ (x^y)&spread(lessLanes(y, x)^(x|y))
 }
+
+// maxOrdered is the SWAR select of maxWord, exact when no lane is a NaN
+// and no lane pair is two zeroes. It fits the inlining budget, so MaxFold
+// runs it inline.
+func maxOrdered(x, y uint64) uint64 { return x ^ (x^y)&spread(lessLanes(x, y)^(x|y)) }
 
 func addWord(x, y uint64) (z uint64) {
 	if nonFiniteLanes(x)|nonFiniteLanes(y) != 0 {
@@ -215,6 +220,60 @@ func MulsSlice(dst, a []byte, s Float16) {
 	lanewise(dst, a, a, func(x, _ uint64) uint64 { return mulWord(x, laneOnes*uint64(s)) },
 		func(x, _ Float16) Float16 { return Mul(x, s) })
 }
+
+// MaxFold runs a whole vmax reduction chain in one pass. Every lane of
+// dst starts at init; then, for each of the k sources in order, it
+// becomes Max(source lane, dst lane). Source s is the len(dst) bytes at
+// src[s*stride:] (stride >= 0), and no source may overlap dst. Each lane
+// sees the same operations with the same operand order as
+// DupSlice(dst, init) followed by k calls of MaxSlice(dst, source, dst),
+// so the result is the same bit for bit. But the accumulators stay in
+// registers: one load per source word and one store per dst word, where
+// the k slice calls cost two loads and a store each. The kernel keeps
+// foldBytes of dst — four independent accumulator words — in flight per
+// source, and calls the word kernels directly.
+//
+// It runs the SWAR select inline for a source word with no NaN and no -0
+// lane. That is exact because an accumulator lane is a NaN only while
+// init is one (Max returns a NaN only when both operands are), and of the
+// ±0 pairs, which the SWAR select orders -0 below +0, only a -0 source
+// against a +0 accumulator resolves the other way (Max keeps its first
+// operand, the source). Other words go to maxWord.
+func MaxFold(dst []byte, init Float16, src []byte, stride, k int) {
+	n, i := len(dst), 0
+	swar := !init.IsNaN()
+	for ; i+foldBytes <= n; i += foldBytes {
+		a0 := laneOnes * uint64(init)
+		a1, a2, a3 := a0, a0, a0
+		for s, off := 0, i; s < k; s, off = s+1, off+stride {
+			w := src[off : off+foldBytes]
+			x0, x1, x2, x3 := load64(w, 0), load64(w, 8), load64(w, 16), load64(w, 24)
+			if swar && foldSlowLanes(x0)|foldSlowLanes(x1)|foldSlowLanes(x2)|foldSlowLanes(x3) == 0 {
+				a0, a1, a2, a3 = maxOrdered(x0, a0), maxOrdered(x1, a1), maxOrdered(x2, a2), maxOrdered(x3, a3)
+			} else {
+				a0, a1, a2, a3 = maxWord(x0, a0), maxWord(x1, a1), maxWord(x2, a2), maxWord(x3, a3)
+			}
+		}
+		d := dst[i : i+foldBytes]
+		store64(d, 0, a0)
+		store64(d, 8, a1)
+		store64(d, 16, a2)
+		store64(d, 24, a3)
+	}
+	for ; i < n; i += Bytes {
+		acc := init
+		for s, off := 0, i; s < k; s, off = s+1, off+stride {
+			acc = Max(Load(src, off), acc)
+		}
+		Store(dst, i, acc)
+	}
+}
+
+// foldBytes is the dst span MaxFold accumulates at once.
+const foldBytes = 4 * wordBytes
+
+// foldSlowLanes sets the sign bit of every NaN or -0 lane of w.
+func foldSlowLanes(w uint64) uint64 { return nanLanes(w) | zeroLanes(w)&w }
 
 // DupSlice broadcasts s into every lane of dst.
 func DupSlice(dst []byte, s Float16) {

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 
+	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/ref"
 	"davinci/internal/tensor"
@@ -319,9 +320,9 @@ func (k *Kernel) lower(spec Spec, d Dims, sp ScheduleParams) (*Plan, error) {
 	return pl, nil
 }
 
-// Grid checks whole-tensor inputs against k's shapes for d and returns
-// the tile grid they span: n images by c1 channel slices (c1 is 1 for a
-// kernel tiled by image).
+// Grid checks whole-tensor inputs against k's shapes for d, and each
+// input's data against its shape, and returns the tile grid they span: n
+// images by c1 channel slices (c1 is 1 for a kernel tiled by image).
 func (k *Kernel) Grid(d Dims, inputs []*tensor.Tensor) (n, c1 int, err error) {
 	if len(inputs) != len(k.Inputs) {
 		return 0, 0, fmt.Errorf("%s: want %d input(s), got %d", k.Name, len(k.Inputs), len(inputs))
@@ -347,6 +348,13 @@ func (k *Kernel) Grid(d Dims, inputs []*tensor.Tensor) (n, c1 int, err error) {
 		}
 		if !slices.Equal(got, want) {
 			return 0, 0, fmt.Errorf("%s: input %d has shape %v, want %s", k.Name, i, got, shapeString(want))
+		}
+		size := fp16.Bytes
+		for _, v := range got {
+			size *= v
+		}
+		if len(inputs[i].Data) != size {
+			return 0, 0, fmt.Errorf("%s: input %d of shape %v holds %d bytes, want %d", k.Name, i, got, len(inputs[i].Data), size)
 		}
 	}
 	return max(n, 0), max(c1, 1), nil

@@ -267,6 +267,40 @@ func TestPlanCacheMetrics(t *testing.T) {
 	}
 }
 
+// BenchmarkReplayTile times the memoized replay (Plan.Run on a primed
+// plan: the flattened trace) of one 147x147 k3s2 tile of the Im2col
+// forward and Col2im backward pooling kernels, with allocations — the
+// per-tile host cost the serving layer pays. The CI smoke step runs it
+// with -benchtime=1x.
+func BenchmarkReplayTile(b *testing.B) {
+	p := isa.ConvParams{Ih: 147, Iw: 147, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
+	cache := NewPlanCache()
+	for _, pc := range planCases(p) {
+		switch pc.name {
+		case "maxpool_fwd_im2col", "avgpool_fwd_im2col", "maxpool_bwd_col2im", "avgpool_bwd_col2im":
+		default:
+			continue
+		}
+		b.Run(pc.name, func(b *testing.B) {
+			pl, err := pc.get(cache, Spec{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			core := newTestCore()
+			if _, _, err := pl.Run(core, pc.inputs...); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := pl.Run(core, pc.inputs...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPlanCache compares host wall time of the cold path (compile the
 // schedule, then run) against cached replay of one plan, on the largest
 // InceptionV3 Maxpool layer of the paper (147x147, kernel 3, stride 2) —

@@ -7,14 +7,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"davinci/internal/fp16"
 	"davinci/internal/ops"
 	"davinci/internal/tensor"
 )
 
-// batch is one assembled dispatch unit: same-shape members to run
-// concatenated along N, plus requests that reached a terminal state at
-// dequeue time (cancelled contexts, busted deadline budgets).
+// batch is one assembled dispatch unit: same-shape members to run as one
+// chip run (chip.RunBatch), plus requests that reached a terminal state
+// at dequeue time (cancelled contexts, busted deadline budgets).
 type batch struct {
 	key       shapeKey
 	chip      int
@@ -173,17 +172,11 @@ func (s *Server) runBatch(sl *slot, b *batch) {
 	s.cBatches.Add(1)
 	s.hBatch.Observe(int64(len(b.members)))
 
-	// Concatenate inputs along N: the NC1HWC0 layout is N-major, so a
-	// batch is a byte concatenation of its members.
-	c1 := b.key.c1
-	totalN := 0
-	for _, p := range b.members {
-		totalN += p.req.Input.Shape[0]
-	}
-	in := tensor.New(totalN, c1, b.key.params.Ih, b.key.params.Iw, tensor.C0)
-	off := 0
-	for _, p := range b.members {
-		off += copy(in.Data[off:], p.req.Input.Data)
+	// The members' inputs go to the chip as they are: its tiles read them
+	// in place, and each member gets its own output back.
+	inputs := make([][]*tensor.Tensor, len(b.members))
+	for i, p := range b.members {
+		inputs[i] = []*tensor.Tensor{p.req.Input}
 	}
 
 	// Batch context: cancelled (interrupting the chip through the
@@ -216,24 +209,17 @@ func (s *Server) runBatch(sl *slot, b *batch) {
 	}
 
 	view := sl.chip.WithContext(bctx).WithTrace(span.Ctx())
-	outs, _, err := view.Run(b.key.kernel.Name, ops.Dims{P: b.key.params}, in)
+	outs, _, err := view.RunBatch(b.key.kernel.Name, ops.Dims{P: b.key.params}, inputs)
 
 	switch {
 	case err == nil:
 		span.SetAttr("outcome", "ok")
 		span.End()
 		s.breakerSuccess(sl)
-		oh, ow := b.key.params.OutDims()
-		stride := c1 * oh * ow * tensor.C0 * fp16.Bytes
-		off := 0
-		for _, p := range b.members {
-			n := p.req.Input.Shape[0]
-			t := tensor.New(n, c1, oh, ow, tensor.C0)
-			copy(t.Data, outs[0].Data[off:off+n*stride])
-			off += n * stride
+		for i, p := range b.members {
 			s.resolve(p, &Response{
 				Outcome:   OutcomeCompleted,
-				Output:    t,
+				Output:    outs[i][0],
 				Chip:      sl.id,
 				BatchSize: len(b.members),
 			}, true)

@@ -293,7 +293,8 @@ type Server struct {
 }
 
 // shapeKey identifies a batchable shape: identical catalogue kernel and
-// parameters. Inputs sharing a key concatenate along N into one batch.
+// parameters. Requests sharing a key run as one batch, their images laid
+// end to end along N on the chip's tile grid.
 type shapeKey struct {
 	kernel *ops.Kernel
 	params isa.ConvParams

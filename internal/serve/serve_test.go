@@ -91,6 +91,33 @@ func TestServeCompletesBitIdentical(t *testing.T) {
 	if tr.Active() != 0 {
 		t.Fatalf("span leak: Active = %d", tr.Active())
 	}
+
+	// A staged batch of MaxBatch members of mixed N returns what each
+	// member's solo chip run returns.
+	b := New(Config{Chips: 1, Cores: 3})
+	defer b.Close()
+	b.pause()
+	var batch []item
+	for i := 0; i < b.cfg.MaxBatch; i++ {
+		req := Request{Kernel: "maxpool", Params: smallParams(), Input: smallInput(rng, 1+i%3)}
+		batch = append(batch, item{req, b.Submit(context.Background(), req)})
+	}
+	b.resume()
+	solo := chip.New(chip.Config{Cores: 3})
+	for i, it := range batch {
+		r := it.tk.Wait()
+		if r.Outcome != OutcomeCompleted || r.BatchSize != len(batch) {
+			t.Fatalf("batch member %d: outcome %s in a batch of %d, err %v", i, r.Outcome, r.BatchSize, r.Err)
+		}
+		want, _, err := solo.MaxPoolForward("im2col", it.req.Input, it.req.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.SameShape(r.Output, want) || !bytes.Equal(r.Output.Data, want.Data) {
+			t.Fatalf("batch member %d: output differs from its solo run", i)
+		}
+	}
+	checkConservation(t, b)
 }
 
 func TestServeBatchingCoalesces(t *testing.T) {
@@ -271,10 +298,13 @@ func TestServeInvalidRequests(t *testing.T) {
 	s := New(Config{Chips: 1, Cores: 2})
 	defer s.Close()
 	rng := rand.New(rand.NewSource(8))
+	short := smallInput(rng, 1)
+	short.Data = short.Data[:len(short.Data)-2]
 	cases := []Request{
 		{Kernel: "conv9000", Params: smallParams(), Input: smallInput(rng, 1)},
 		{Kernel: "maxpool", Params: smallParams(), Input: nil},
 		{Kernel: "maxpool", Params: isa.ConvParams{Ih: 8, Iw: 8, Kh: 3, Kw: 3, Sh: 2, Sw: 2}, Input: smallInput(rng, 1)},
+		{Kernel: "maxpool", Params: smallParams(), Input: short}, // data shorter than its shape
 	}
 	for i, req := range cases {
 		r := s.Do(context.Background(), req)
