@@ -5,12 +5,12 @@ import (
 	"davinci/internal/isa"
 )
 
-// board is the implicit-sync timing scoreboard extracted from schedule():
-// per-pipe in-order issue, exact-region data hazards with bounded history,
-// and barrier floors. schedule() drives it alongside functional execution;
-// the static paths (Time, Board) drive it alone, so every start time they
-// compute is identical to what Run/Replay would produce — including the
-// conservative whole-buffer floors history folding introduces.
+// board is the implicit-sync timing scoreboard: per-pipe in-order issue,
+// exact-region data hazards with bounded history, and barrier floors.
+// walk drives it for the interpreter, Time and traced flat runs alike,
+// and the static schedulers drive it through Board, so every start time
+// they compute is identical to what Run/Replay would produce — including
+// the conservative whole-buffer floors history folding introduces.
 type board struct {
 	cost         *isa.CostModel
 	serialize    bool
@@ -109,21 +109,59 @@ func (b *board) startOf(in isa.Instr) int64 {
 	return start
 }
 
-// Time statically computes the makespan Run/Replay would report for prog
-// under the implicit-sync scoreboard — the exact same cycle count,
-// including the bounded-history folding, because the timing model is
-// data-independent. A nil cost model takes the calibrated default. The
-// static optimizer (internal/opt) uses it as its cycle oracle.
-func Time(prog *cce.Program, cost *isa.CostModel, serialize bool) int64 {
+// Time computes, without executing prog, the Stats Run/Replay would
+// report for it under the implicit-sync scoreboard — the same cycle
+// count, busy time and traffic, including the bounded-history folding,
+// because the timing model is data-independent. A nil cost model takes
+// the calibrated default. The static optimizer (internal/opt) and the
+// schedule search use it as their cycle oracle; plans memoize it.
+func Time(prog *cce.Program, cost *isa.CostModel, serialize bool) *Stats {
 	if cost == nil {
 		cost = isa.DefaultCostModel()
 	}
+	st, _ := walk(prog.Instrs, cost, serialize, nil, nil)
+	return st
+}
+
+// walk places instrs on a fresh board in program order and returns their
+// Stats: the one timing accounting behind Time, the interpreter
+// (schedule) and a traced flat run (ExecFlat). tr, when non-nil, gets one
+// entry per placed instruction. before, when non-nil, runs ahead of each
+// placement (the interpreter's functional execution); its error ends the
+// walk, so tr keeps only the entries of the instructions before the one
+// that failed.
+func walk(instrs []isa.Instr, cost *isa.CostModel, serialize bool, tr *Trace, before func(int, isa.Instr) error) (*Stats, error) {
 	b := newBoard(cost, serialize)
-	for idx, in := range prog.Instrs {
-		tr := newStallTracker()
-		b.place(in, idx, &tr)
+	st := &Stats{}
+	if tr != nil {
+		tr.grow(len(instrs))
 	}
-	return b.cycles
+	for idx, in := range instrs {
+		if before != nil {
+			if err := before(idx, in); err != nil {
+				return nil, err
+			}
+		}
+		t := newStallTracker()
+		start, end, stall := b.place(in, idx, &t)
+		if tr != nil {
+			tr.record(idx, in, start, end, stall)
+		}
+		pipe := in.Pipe()
+		st.PipeBusy[pipe] += end - start
+		st.PipeInstrs[pipe]++
+		st.Instrs++
+		if cp, ok := in.(*isa.CopyInstr); ok {
+			switch pipe {
+			case isa.PipeMTE2:
+				st.BytesIn += int64(cp.Bytes())
+			case isa.PipeMTE3:
+				st.BytesOut += int64(cp.Bytes())
+			}
+		}
+	}
+	st.Cycles = b.cycles
+	return st, nil
 }
 
 // Board is an incremental timing scoreboard for static schedulers: StartOf

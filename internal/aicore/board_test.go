@@ -37,7 +37,7 @@ func TestTimeMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("serialize=%v: %v", serialize, err)
 		}
-		if got := aicore.Time(timingProg(), nil, serialize); got != st.Cycles {
+		if got := aicore.Time(timingProg(), nil, serialize).Cycles; got != st.Cycles {
 			t.Errorf("serialize=%v: Time = %d, Run = %d", serialize, got, st.Cycles)
 		}
 	}
@@ -63,7 +63,7 @@ func TestBoardIncrementalMatchesTime(t *testing.T) {
 			t.Errorf("instr %d: end %d before start %d", idx, end, start)
 		}
 	}
-	if want := aicore.Time(prog, nil, false); b.Cycles() != want {
+	if want := aicore.Time(prog, nil, false).Cycles; b.Cycles() != want {
 		t.Errorf("Board cycles = %d, Time = %d", b.Cycles(), want)
 	}
 }

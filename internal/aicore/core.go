@@ -210,10 +210,11 @@ func (c *Core) Run(prog *cce.Program) (*Stats, error) {
 	return c.schedule(prog)
 }
 
-// Replay executes and times a pre-compiled program, skipping per-run
+// Replay interprets and times a pre-compiled program, skipping per-run
 // validation and strict linting: a plan (internal/ops) validates — and, for
-// strict specs, lints — the instruction stream once at compile time, so
-// replaying it on every tile must not pay that cost again. Timing and
+// strict specs, lints — the instruction stream once at compile time. Plans
+// call it only on a core with an OnInstr hook armed; other runs take the
+// flattened trace (ExecFlat) and the data-free Time. Timing and
 // functional semantics are identical to Run.
 func (c *Core) Replay(prog *cce.Program) (*Stats, error) {
 	if c.OnProgram != nil {
@@ -223,79 +224,44 @@ func (c *Core) Replay(prog *cce.Program) (*Stats, error) {
 }
 
 // ExecOnly executes prog functionally — in program order, like Run — but
-// computes no schedule and no stats. Plans use it when the timing of the
-// (shape-deterministic) program is already memoized from an earlier replay
-// under the same cost model, which makes repeated tiles pure data work.
+// computes no schedule and no stats. Translation validation
+// (internal/opt) compares two programs' data effects with it.
 func (c *Core) ExecOnly(prog *cce.Program) error {
 	if c.OnProgram != nil {
 		c.OnProgram(prog)
 	}
 	for idx, in := range prog.Instrs {
-		if c.interrupted() {
-			return fmt.Errorf("aicore: %s instr %d: %w", prog.Name, idx, ErrInterrupted)
-		}
-		if c.OnInstr != nil {
-			if err := c.OnInstr(idx, in); err != nil {
-				return fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
-			}
-		}
-		if err := c.exec(in); err != nil {
-			return fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
+		if err := c.step(prog, idx, in); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// schedule is the shared body of Run and Replay: functional execution in
-// program order plus the implicit-sync timing scoreboard (see board, which
-// also backs the static Time oracle). Every start time the board computes
-// is identical to the pre-attribution scoreboard: a barrier raises a floor
-// proposed to every later instruction instead of rewriting pipeFree, which
-// yields the same maximum while letting the wait surface as an attributed
-// stall on the pipe that actually pays it.
+// step interprets instruction idx of prog: it polls Cancel, consults
+// OnInstr and executes in, naming the instruction in any error.
+func (c *Core) step(prog *cce.Program, idx int, in isa.Instr) error {
+	if c.interrupted() {
+		return fmt.Errorf("aicore: %s instr %d: %w", prog.Name, idx, ErrInterrupted)
+	}
+	if c.OnInstr != nil {
+		if err := c.OnInstr(idx, in); err != nil {
+			return fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
+		}
+	}
+	if err := c.exec(in); err != nil {
+		return fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
+	}
+	return nil
+}
+
+// schedule is the shared body of Run and Replay: the timing walk (see
+// walk, which also backs the data-free Time) with each instruction
+// executed functionally, in program order, just before it is placed.
+// In-order issue per pipe plus hazard-respecting start times make
+// program order equivalent to the timed order for data.
 func (c *Core) schedule(prog *cce.Program) (*Stats, error) {
-	stats := &Stats{}
-	board := newBoard(c.Cost, c.Serialize)
-	if c.Trace != nil {
-		c.Trace.grow(len(prog.Instrs))
-	}
-
-	for idx, in := range prog.Instrs {
-		if c.interrupted() {
-			return nil, fmt.Errorf("aicore: %s instr %d: %w", prog.Name, idx, ErrInterrupted)
-		}
-		if c.OnInstr != nil {
-			if err := c.OnInstr(idx, in); err != nil {
-				return nil, fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
-			}
-		}
-		// Functional execution in program order. In-order issue per pipe
-		// plus hazard-respecting start times make this equivalent to the
-		// timed order for data.
-		if err := c.exec(in); err != nil {
-			return nil, fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
-		}
-
-		pipe := in.Pipe()
-		cost := in.Cycles(c.Cost)
-		tr := newStallTracker()
-		start, end, stall := board.place(in, idx, &tr)
-
-		if c.Trace != nil {
-			c.Trace.record(idx, in, start, end, stall)
-		}
-		stats.PipeBusy[pipe] += cost
-		stats.PipeInstrs[pipe]++
-		stats.Instrs++
-		if cp, ok := in.(*isa.CopyInstr); ok {
-			switch pipe {
-			case isa.PipeMTE2:
-				stats.BytesIn += int64(cp.Bytes())
-			case isa.PipeMTE3:
-				stats.BytesOut += int64(cp.Bytes())
-			}
-		}
-	}
-	stats.Cycles = board.cycles
-	return stats, nil
+	return walk(prog.Instrs, c.Cost, c.Serialize, c.Trace, func(idx int, in isa.Instr) error {
+		return c.step(prog, idx, in)
+	})
 }

@@ -34,16 +34,8 @@ func (c *Core) RunExplicit(prog *cce.Program) (*Stats, error) {
 	}
 	// Functional pass (program order).
 	for idx, in := range prog.Instrs {
-		if c.interrupted() {
-			return nil, fmt.Errorf("aicore: %s instr %d: %w", prog.Name, idx, ErrInterrupted)
-		}
-		if c.OnInstr != nil {
-			if err := c.OnInstr(idx, in); err != nil {
-				return nil, fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
-			}
-		}
-		if err := c.exec(in); err != nil {
-			return nil, fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
+		if err := c.step(prog, idx, in); err != nil {
+			return nil, err
 		}
 	}
 

@@ -44,8 +44,8 @@ const (
 // flatOp is one primitive data operation of a flattened program. Byte
 // offsets are resolved; n counts lanes for fVec/fVecMasked/fAcc/fCvt/fFold
 // and bytes for fMove/fZero/fGather (per row). Every plan is flattened on its
-// first memoized replay, so the struct is kept small: fInstr finds its
-// instruction through idx rather than holding it.
+// first run, so the struct is kept small: fInstr finds its instruction
+// through idx rather than holding it.
 type flatOp struct {
 	kind   flatKind
 	scalar fp16.Float16
@@ -72,9 +72,9 @@ type flatOp struct {
 // chains fused whenever every lane keeps its exact sequence of operations
 // (foldChains). Replaying the trace is bit-identical to interpreting the
 // program instruction by instruction, but amortizes all per-lane
-// bookkeeping — which is what makes cached plan replay cheap. Flattening
-// never affects timing: cycle counts come from the scheduled
-// (interpretive) pass and are memoized separately.
+// bookkeeping — which is what makes plan replay cheap. Flattening never
+// affects timing: cycle counts come from the data-free walk of the
+// program (Time), which plans memoize.
 type FlatProgram struct {
 	prog *cce.Program
 	ops  []flatOp
@@ -104,7 +104,7 @@ func Flatten(prog *cce.Program) *FlatProgram {
 			fp.flattenCol2Im(idx, v)
 		case *isa.ScalarInstr, *isa.BarrierInstr, *isa.SetFlagInstr, *isa.WaitFlagInstr:
 			// Functional no-ops: synchronization shapes the schedule, not
-			// the data, and the schedule is memoized elsewhere.
+			// the data, and the schedule comes from Time.
 		default:
 			fp.fallback(idx)
 		}
@@ -387,38 +387,45 @@ func chainLen(ops []flatOp) int {
 }
 
 // ExecFlat functionally executes a flattened trace, in trace (= program)
-// order. Like ExecOnly it performs no scheduling and records no timing;
-// buffer contents afterwards are bit-identical to Run on the original
-// program.
+// order; buffer contents afterwards are bit-identical to Run on the
+// original program. It computes no Stats (see Time). On a traced core it
+// records the schedule entries Run would record: every instruction's, or,
+// when the run fails, those of the instructions before the failing one.
 func (c *Core) ExecFlat(fp *FlatProgram) error {
 	if c.OnProgram != nil {
 		c.OnProgram(fp.prog)
 	}
-	return c.execOps(fp, fp.ops)
+	ran, err := c.execOps(fp, fp.ops)
+	if c.Trace != nil {
+		walk(fp.prog.Instrs[:ran], c.Cost, c.Serialize, c.Trace, nil)
+	}
+	return err
 }
 
-// execOps runs ops in order. A fold whose bounds fail runs its members
-// unfused instead, so the error names the instruction the interpreter
-// would name, after the same writes.
-func (c *Core) execOps(fp *FlatProgram, ops []flatOp) error {
+// execOps runs ops in order. It returns how many instructions of the
+// program ran: all of them, or on an error those before the failing one.
+// A fold whose bounds fail runs its members unfused instead, so the error
+// names the instruction the interpreter would name, after the same
+// writes.
+func (c *Core) execOps(fp *FlatProgram, ops []flatOp) (int, error) {
 	for i := range ops {
 		op := &ops[i]
 		if c.interrupted() {
-			return fmt.Errorf("aicore: %s instr %d: %w", fp.prog.Name, op.idx, ErrInterrupted)
+			return op.idx, fmt.Errorf("aicore: %s instr %d: %w", fp.prog.Name, op.idx, ErrInterrupted)
 		}
 		if op.kind == fFold {
 			if !c.execFold(op) {
-				if err := c.execOps(fp, fp.members[op.src1:op.src1+op.rows+1]); err != nil {
-					return err
+				if ran, err := c.execOps(fp, fp.members[op.src1:op.src1+op.rows+1]); err != nil {
+					return ran, err
 				}
 			}
 			continue
 		}
 		if err := c.execFlat(fp.prog, op); err != nil {
-			return fmt.Errorf("aicore: %s instr %d (%s): %w", fp.prog.Name, op.idx, fp.prog.Instrs[op.idx], err)
+			return op.idx, fmt.Errorf("aicore: %s instr %d (%s): %w", fp.prog.Name, op.idx, fp.prog.Instrs[op.idx], err)
 		}
 	}
-	return nil
+	return len(fp.prog.Instrs), nil
 }
 
 // execFold runs a vmax reduction chain fused, or reports false, having

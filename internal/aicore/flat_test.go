@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/kernelcases"
+	"davinci/internal/lint"
 	"davinci/internal/ops"
 	"davinci/internal/workloads"
 )
@@ -30,59 +32,85 @@ func poisonedCore() *aicore.Core {
 	return c
 }
 
+// timingContext names one way of configuring a core's timing.
+type timingContext struct {
+	name  string
+	setup func(*aicore.Core)
+}
+
 // TestFlatMatchesInterpreterEveryKernel: for every built-in kernel on the
-// three Fig. 7 layers, a plan's first Run (interpreted under the full
-// scoreboard) and its second Run (the flattened trace with the memoized
-// timing), each on a poisoned core, leave identical bytes in every buffer
-// and return identical outputs and Stats.
+// three Fig. 7 layers, a plan's Run on a core that must interpret (an
+// OnInstr hook is armed) and its Run on a plain core (the flattened trace,
+// with the memoized data-free Stats), each on a traced poisoned core,
+// leave identical bytes in every buffer and return identical outputs,
+// Stats and trace entries. On the smallest layer the Stats must also
+// agree under Serialize and under a non-default cost model.
 func TestFlatMatchesInterpreterEveryKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	slow := *isa.DefaultCostModel()
+	slow.VecIssue, slow.MteIssue, slow.Im2ColFractal = 7, 41, 5
 	checked := 0
 	for _, layer := range workloads.InceptionV3Fig7() {
 		p := layer.Params()
+		contexts := []timingContext{{"default", func(*aicore.Core) {}}}
+		if layer.H == 35 {
+			contexts = append(contexts,
+				timingContext{"serialized", func(c *aicore.Core) { c.Serialize = true }},
+				timingContext{"cost model", func(c *aicore.Core) { c.Cost = &slow }})
+		}
 		for _, kc := range kernelcases.All() {
-			name := fmt.Sprintf("%s %dx%d", kc.Name, layer.H, layer.W)
 			pl, err := kc.Plan(ops.Spec{}, p)
 			if err != nil {
 				if kernelcases.IsCapacitySkip(err) {
 					continue
 				}
-				t.Fatalf("%s: compile: %v", name, err)
+				t.Fatalf("%s %dx%d: compile: %v", kc.Name, layer.H, layer.W, err)
 			}
 			in := kc.Inputs(rng, p)
-			interp, flat := poisonedCore(), poisonedCore()
-			outsI, stI, err := pl.Run(interp, in...)
-			if err != nil {
-				t.Fatalf("%s: interpreted run: %v", name, err)
-			}
-			outsF, stF, err := pl.Run(flat, in...)
-			if err != nil {
-				t.Fatalf("%s: flattened run: %v", name, err)
-			}
-			if *stI != *stF {
-				t.Errorf("%s: stats differ:\ninterpreted %v\nflattened   %v", name, stI, stF)
-			}
-			for i := range outsI {
-				if !bytes.Equal(outsI[i].Data, outsF[i].Data) {
-					t.Errorf("%s: output %d differs", name, i)
+			for _, ctx := range contexts {
+				name := fmt.Sprintf("%s %dx%d %s", kc.Name, layer.H, layer.W, ctx.name)
+				interp, flat := poisonedCore(), poisonedCore()
+				interp.OnInstr = func(int, isa.Instr) error { return nil }
+				for _, c := range []*aicore.Core{interp, flat} {
+					c.Trace = &aicore.Trace{}
+					ctx.setup(c)
 				}
-			}
-			for id := isa.BufID(0); id < isa.NumBufs; id++ {
-				if !bytes.Equal(interp.Mem.Mem(id), flat.Mem.Mem(id)) {
-					t.Errorf("%s: %v contents differ", name, id)
+				outsI, stI, err := pl.Run(interp, in...)
+				if err != nil {
+					t.Fatalf("%s: interpreted run: %v", name, err)
 				}
+				outsF, stF, err := pl.Run(flat, in...)
+				if err != nil {
+					t.Fatalf("%s: flattened run: %v", name, err)
+				}
+				if *stI != *stF {
+					t.Errorf("%s: stats differ:\ninterpreted %v\nflattened   %v", name, stI, stF)
+				}
+				if !slices.Equal(interp.Trace.Entries, flat.Trace.Entries) {
+					t.Errorf("%s: trace entries differ (%d interpreted, %d flattened)",
+						name, len(interp.Trace.Entries), len(flat.Trace.Entries))
+				}
+				for i := range outsI {
+					if !bytes.Equal(outsI[i].Data, outsF[i].Data) {
+						t.Errorf("%s: output %d differs", name, i)
+					}
+				}
+				for id := isa.BufID(0); id < isa.NumBufs; id++ {
+					if !bytes.Equal(interp.Mem.Mem(id), flat.Mem.Mem(id)) {
+						t.Errorf("%s: %v contents differ", name, id)
+					}
+				}
+				checked++
 			}
-			checked++
 		}
 	}
-	t.Logf("flattened replay matched the interpreter on %d kernel x layer programs", checked)
+	t.Logf("flattened replay matched the interpreter on %d kernel x layer x timing runs", checked)
 }
 
 // TestFlatGatherFusion pins the flat-trace fusions on one 147x147 im2col
 // maxpool tile: it flattens to at most 1,000 ops (48,125 as one move per
 // Im2Col row) with every vmax folded into a reduction chain, and the op
-// itself must not grow, since every plan is flattened on its first
-// memoized replay.
+// itself must not grow, since every plan is flattened on its first run.
 func TestFlatGatherFusion(t *testing.T) {
 	p := isa.ConvParams{Ih: 147, Iw: 147, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	pl, err := ops.Compile("maxpool_fwd/im2col", ops.Spec{}, ops.Dims{P: p})
@@ -200,5 +228,82 @@ func TestFlatGatherOverrun(t *testing.T) {
 	}
 	if !bytes.Equal(ubI, ubF) || bytes.Count(ubF, []byte{0}) != ub {
 		t.Error("a failing gather moved rows; the interpreter moves none")
+	}
+}
+
+// TestMaskedVecBoundsAgree: lint, the interpreter and the flattened trace
+// bound a vector operand by its highest enabled block. A 16-lane vadd on
+// the last 32-byte block of UB passes lint and runs to identical bytes
+// interpreted or flat; the same op at full mask overruns UB and fails in
+// all three, each naming instruction 0.
+func TestMaskedVecBoundsAgree(t *testing.T) {
+	const ub = 4096
+	vadd := func(m isa.Mask) *cce.Program {
+		prog := cce.New("tail")
+		prog.EmitVec(isa.VAdd, isa.Contig(isa.UB, ub-isa.BlockBytes), isa.Contig(isa.UB, 0), isa.Contig(isa.UB, 256), 0, m, 1)
+		return prog
+	}
+	run := func(prog *cce.Program, exec func(*aicore.Core) error) ([]byte, error) {
+		c := aicore.New(buffer.Config{UBSize: ub}, nil)
+		m := c.Mem.Mem(isa.UB)
+		for i := 0; i < len(m); i += fp16.Bytes {
+			fp16.Store(m, i, fp16.FromFloat64(float64(i%89)-44))
+		}
+		err := exec(c)
+		return m, err
+	}
+	caps := buffer.Config{UBSize: ub}.Capacities()
+	for _, tc := range []struct {
+		name string
+		mask isa.Mask
+		fail bool
+	}{{"16 lanes", isa.MaskFirstN(16), false}, {"full mask", isa.FullMask(), true}} {
+		prog := vadd(tc.mask)
+		errs := lint.Errors(lint.CheckWith(lint.Options{Caps: caps, Mode: lint.SyncImplicit}, prog))
+		fp := aicore.Flatten(prog)
+		ubI, errI := run(prog, func(c *aicore.Core) error { return c.ExecOnly(prog) })
+		ubF, errF := run(prog, func(c *aicore.Core) error { return c.ExecFlat(fp) })
+		if !tc.fail {
+			if len(errs) > 0 || errI != nil || errF != nil {
+				t.Errorf("%s: want a clean run: lint %v, interpreted %v, flattened %v", tc.name, errs, errI, errF)
+			}
+			if !bytes.Equal(ubI, ubF) {
+				t.Errorf("%s: interpreted and flattened runs leave different bytes", tc.name)
+			}
+			continue
+		}
+		if len(errs) == 0 || errs[0].Index != 0 || errs[0].Pass != "bounds" {
+			t.Errorf("%s: lint errors %v, want a bounds error at instruction 0", tc.name, errs)
+		}
+		for _, err := range []error{errI, errF} {
+			if err == nil || !strings.Contains(err.Error(), "tail instr 0 ") || !strings.Contains(err.Error(), "exceeds") {
+				t.Errorf("%s: error %v does not name the overrunning instruction", tc.name, err)
+			}
+		}
+	}
+}
+
+// TestFlatTraceStopsAtFailure: a traced flat run that fails at
+// instruction i keeps the schedule entries of the instructions before i,
+// entry for entry those the interpreter records.
+func TestFlatTraceStopsAtFailure(t *testing.T) {
+	const ub = 4096
+	prog := cce.New("stops")
+	prog.EmitVec(isa.VDup, isa.Contig(isa.UB, 0), isa.Operand{}, isa.Operand{}, fp16.One, isa.FullMask(), 1)
+	prog.Emit(&isa.CopyInstr{SrcBuf: isa.UB, SrcAddr: 0, DstBuf: isa.GM, DstAddr: 0, NBurst: 1, BurstBytes: 256})
+	prog.EmitVec(isa.VAdds, isa.Contig(isa.UB, ub-isa.BlockBytes), isa.Contig(isa.UB, 0), isa.Operand{}, fp16.One, isa.FullMask(), 1)
+	prog.EmitVec(isa.VDup, isa.Contig(isa.UB, 512), isa.Operand{}, isa.Operand{}, fp16.One, isa.FullMask(), 1)
+	run := func(exec func(*aicore.Core) error) []aicore.TraceEntry {
+		c := aicore.New(buffer.Config{UBSize: ub}, nil)
+		c.Trace = &aicore.Trace{}
+		if err := exec(c); err == nil || !strings.Contains(err.Error(), "stops instr 2 ") {
+			t.Fatalf("error %v does not name instruction 2", err)
+		}
+		return c.Trace.Entries
+	}
+	interp := run(func(c *aicore.Core) error { _, err := c.Replay(prog); return err })
+	flat := run(func(c *aicore.Core) error { return c.ExecFlat(aicore.Flatten(prog)) })
+	if len(interp) != 2 || !slices.Equal(interp, flat) {
+		t.Errorf("trace entries: interpreted %v, flattened %v, want the same two", interp, flat)
 	}
 }

@@ -99,7 +99,7 @@ func TestHangOnDeadlock(t *testing.T) {
 }
 
 // TestExecFlatInterrupted: the flattened replay path polls Cancel too, so
-// memoized plan replays stay abortable.
+// plan runs stay abortable.
 func TestExecFlatInterrupted(t *testing.T) {
 	c := New(buffer.Config{}, nil)
 	p, _, _ := buildChain(c)

@@ -68,8 +68,9 @@ type Resilience struct {
 	Degrade bool
 	// TraceTail is how many trailing trace entries a hang report carries;
 	// 0 means 8 with Enabled and no attempt tracing without. Negative
-	// disables attempt tracing (hang reports then carry no schedule tail,
-	// and replays may use the fast flattened path).
+	// disables attempt tracing (hang reports then carry no schedule tail).
+	// A traced attempt runs the flattened trace like any other; its
+	// entries come from the data-free timing walk.
 	TraceTail int
 }
 

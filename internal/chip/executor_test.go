@@ -60,8 +60,9 @@ func TestPoolBoundAndPlacement(t *testing.T) {
 // clean attempts, so no plan may read scratch-pad bytes it did not write
 // in the same run. Every kernel runs on a fresh core and on cores whose
 // local buffers were first filled with 0xA5 — once on the flattened
-// replay path and once traced, which forces the interpreted schedule —
-// and must produce byte-identical outputs and identical stats.
+// replay path and once with an OnInstr hook armed, which forces the
+// interpreter, as a faulted attempt does — and must produce
+// byte-identical outputs and identical stats.
 func TestCoreReuseSafeForEveryKernel(t *testing.T) {
 	p, _ := chaosLayer()
 	for _, kc := range kernelcases.All() {
@@ -75,7 +76,7 @@ func TestCoreReuseSafeForEveryKernel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, traced := range []bool{false, true} {
+			for _, interpreted := range []bool{false, true} {
 				dirty := aicore.New(buffer.Config{}, nil)
 				for _, b := range []isa.BufID{isa.L1, isa.UB, isa.L0A, isa.L0B, isa.L0C} {
 					mem := dirty.Mem.Mem(b)
@@ -83,20 +84,20 @@ func TestCoreReuseSafeForEveryKernel(t *testing.T) {
 						mem[i] = 0xA5
 					}
 				}
-				if traced {
-					dirty.Trace = &aicore.Trace{}
+				if interpreted {
+					dirty.OnInstr = func(int, isa.Instr) error { return nil }
 				}
 				got, st, err := pl.Run(dirty, inputs...)
 				if err != nil {
-					t.Fatalf("traced=%v: %v", traced, err)
+					t.Fatalf("interpreted=%v: %v", interpreted, err)
 				}
 				for i := range want {
 					if !bytes.Equal(got[i].Data, want[i].Data) {
-						t.Errorf("traced=%v: output %d differs on a dirty core", traced, i)
+						t.Errorf("interpreted=%v: output %d differs on a dirty core", interpreted, i)
 					}
 				}
 				if *st != *wantSt {
-					t.Errorf("traced=%v: stats %+v on a dirty core, want %+v", traced, st, wantSt)
+					t.Errorf("interpreted=%v: stats %+v on a dirty core, want %+v", interpreted, st, wantSt)
 				}
 			}
 		})

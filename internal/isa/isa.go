@@ -9,7 +9,10 @@
 // internal/scu. Cycle costs come from the CostModel in cost.go.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Pipe identifies one of the AI Core's execution pipelines. Instructions on
 // different pipes may overlap in time subject to data hazards; instructions
@@ -117,14 +120,14 @@ func MaskFirstN(n int) Mask {
 func (m Mask) Bit(i int) bool { return m[i/64]>>(i%64)&1 == 1 }
 
 // Count returns the number of enabled lanes.
-func (m Mask) Count() int {
-	n := 0
-	for i := 0; i < LanesPerRepeat; i++ {
-		if m.Bit(i) {
-			n++
-		}
+func (m Mask) Count() int { return bits.OnesCount64(m[0]) + bits.OnesCount64(m[1]) }
+
+// highLane returns the highest enabled lane, or -1 when none is.
+func (m Mask) highLane() int {
+	if m[1] != 0 {
+		return 64 + bits.Len64(m[1]) - 1
 	}
-	return n
+	return bits.Len64(m[0]) - 1
 }
 
 // Region is a byte range in one buffer, used for hazard tracking.

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -64,6 +65,73 @@ func TestMask(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMaskArithmetic pins the word-level Count and MaskSpan to their
+// per-lane definitions — count the enabled lanes; end the span at the
+// block of the highest enabled lane — on every MaskFirstN(n), every
+// one-lane and two-lane mask and 4,096 seeded random masks, for strided
+// operands over one and several repeats.
+func TestMaskArithmetic(t *testing.T) {
+	var masks []Mask
+	for n := 0; n <= LanesPerRepeat; n++ {
+		masks = append(masks, MaskFirstN(n))
+	}
+	lane := func(i int) Mask {
+		var m Mask
+		m[i/64] |= 1 << (i % 64)
+		return m
+	}
+	for i := 0; i < LanesPerRepeat; i++ {
+		masks = append(masks, lane(i))
+		for j := i + 1; j < LanesPerRepeat; j++ {
+			a, b := lane(i), lane(j)
+			masks = append(masks, Mask{a[0] | b[0], a[1] | b[1]})
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 4096; i++ {
+		m := Mask{rng.Uint64(), rng.Uint64()}
+		// Thin some masks out so high lanes are often clear.
+		if i%2 == 1 {
+			m[1] &= rng.Uint64() & rng.Uint64()
+			m[0] &= rng.Uint64()
+		}
+		masks = append(masks, m)
+	}
+	operands := []Operand{
+		Contig(UB, 0),
+		{Buf: UB, Addr: 64, BlkStride: 2, RepStride: 16},
+		{Buf: L1, Addr: 32, BlkStride: 0, RepStride: 1},
+	}
+	for _, m := range masks {
+		count, high := 0, -1
+		for i := 0; i < LanesPerRepeat; i++ {
+			if m.Bit(i) {
+				count++
+				high = i
+			}
+		}
+		if got := m.Count(); got != count {
+			t.Fatalf("%#x: Count %d, want %d", m, got, count)
+		}
+		for _, o := range operands {
+			for _, repeat := range []int{0, 1, 3} {
+				got, ok := o.MaskSpan(m, repeat)
+				if wantOK := high >= 0 && repeat >= 1; ok != wantOK {
+					t.Fatalf("%#x %+v x%d: MaskSpan ok = %v, want %v", m, o, repeat, ok, wantOK)
+				}
+				if !ok {
+					continue
+				}
+				want := Region{Buf: o.Buf, Off: o.Addr, End: o.BlockAddr(repeat-1, high/ElemsPerBlock) + BlockBytes}
+				if got != want {
+					t.Fatalf("%#x %+v x%d: MaskSpan %v, want %v", m, o, repeat, got, want)
+				}
+			}
+		}
+	}
+	t.Logf("%d masks", len(masks))
 }
 
 func TestMaskPanics(t *testing.T) {

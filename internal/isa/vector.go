@@ -89,6 +89,19 @@ func (o Operand) Span(repeat int) Region {
 	return Region{Buf: o.Buf, Off: o.Addr, End: end}
 }
 
+// MaskSpan is Span tightened to the highest block holding a lane m
+// enables: the bytes a vector instruction under m touches through o. It
+// reports false when m enables no lane, or repeat < 1: such an operand
+// is not accessed.
+func (o Operand) MaskSpan(m Mask, repeat int) (Region, bool) {
+	lane := m.highLane()
+	if lane < 0 || repeat < 1 {
+		return Region{}, false
+	}
+	end := o.BlockAddr(repeat-1, lane/ElemsPerBlock) + BlockBytes
+	return Region{Buf: o.Buf, Off: o.Addr, End: end}, true
+}
+
 func (o Operand) validate() error {
 	if o.Addr < 0 || o.Addr%BlockBytes != 0 {
 		return fmt.Errorf("isa: operand address %d not 32-byte aligned", o.Addr)
@@ -156,6 +169,28 @@ func (v *VecInstr) Reads() []Region {
 
 // Writes returns the destination span.
 func (v *VecInstr) Writes() []Region { return []Region{v.Dst.Span(v.Repeat)} }
+
+// MaskSpans returns the mask span (Operand.MaskSpan) of every operand the
+// op accesses, destination first: the bytes the instruction can touch,
+// which lint, the interpreter and the flattened trace bound. An all-zero
+// mask touches nothing. Reads and Writes stay conservative (eight blocks
+// per repeat), since the scoreboard's hazards are defined on them.
+func (v *VecInstr) MaskSpans() []Region {
+	ops := []Operand{v.Dst, v.Src0, v.Src1}
+	switch {
+	case v.Op.IsUnary():
+		ops = ops[:2]
+	case !v.Op.IsBinary():
+		ops = ops[:1]
+	}
+	var rs []Region
+	for _, o := range ops {
+		if r, ok := o.MaskSpan(v.Mask, v.Repeat); ok {
+			rs = append(rs, r)
+		}
+	}
+	return rs
+}
 
 // Validate checks structural constraints.
 func (v *VecInstr) Validate() error {

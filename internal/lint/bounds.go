@@ -42,39 +42,8 @@ func checkBounds(prog *cce.Program, caps [isa.NumBufs]int) []Diagnostic {
 // mask-aware spans for vector instructions and the instruction's own
 // conservative Reads/Writes otherwise.
 func accessRegions(in isa.Instr) []isa.Region {
-	v, ok := in.(*isa.VecInstr)
-	if !ok {
-		return append(append([]isa.Region{}, in.Reads()...), in.Writes()...)
+	if v, ok := in.(*isa.VecInstr); ok {
+		return v.MaskSpans()
 	}
-	var rs []isa.Region
-	add := func(o isa.Operand) {
-		if r, ok := maskSpan(o, v.Mask, v.Repeat); ok {
-			rs = append(rs, r)
-		}
-	}
-	add(v.Dst)
-	if v.Op.IsUnary() || v.Op.IsBinary() {
-		add(v.Src0)
-	}
-	if v.Op.IsBinary() {
-		add(v.Src1)
-	}
-	return rs
-}
-
-// maskSpan is Operand.Span tightened to the highest mask-enabled block.
-// It reports false for an all-zero mask (the invariants pass flags those).
-func maskSpan(o isa.Operand, m isa.Mask, repeat int) (isa.Region, bool) {
-	hb := -1
-	for lane := isa.LanesPerRepeat - 1; lane >= 0; lane-- {
-		if m.Bit(lane) {
-			hb = lane / isa.ElemsPerBlock
-			break
-		}
-	}
-	if hb < 0 || repeat < 1 {
-		return isa.Region{}, false
-	}
-	end := o.BlockAddr(repeat-1, hb) + isa.BlockBytes
-	return isa.Region{Buf: o.Buf, Off: o.Addr, End: end}, true
+	return append(append([]isa.Region{}, in.Reads()...), in.Writes()...)
 }

@@ -54,7 +54,7 @@ func checkInvariants(prog *cce.Program) []Diagnostic {
 // overlap means some lanes read bytes the same instruction already
 // overwrote, which depends on the datapath's internal ordering.
 func checkVecOverlap(idx int, v *isa.VecInstr) []Diagnostic {
-	dst, ok := maskSpan(v.Dst, v.Mask, v.Repeat)
+	dst, ok := v.Dst.MaskSpan(v.Mask, v.Repeat)
 	if !ok {
 		return nil
 	}
@@ -63,7 +63,7 @@ func checkVecOverlap(idx int, v *isa.VecInstr) []Diagnostic {
 		if o == v.Dst {
 			return
 		}
-		s, ok := maskSpan(o, v.Mask, v.Repeat)
+		s, ok := o.MaskSpan(v.Mask, v.Repeat)
 		if ok && s.Overlaps(dst) {
 			diags = append(diags, Diagnostic{
 				Pass: "invariants", Sev: SevError, Index: idx, Instr: v.String(), Region: dst,

@@ -98,9 +98,9 @@ type bindFunc func(inputs []*tensor.Tensor) []*tensor.Tensor
 // regions (e.g. unpacking a fractal weight grid). It must be pure.
 type finishFunc func(outs []*tensor.Tensor) []*tensor.Tensor
 
-// timingKey identifies one timing context a plan has been scheduled under.
+// timingKey identifies one timing context a plan has been timed under.
 // Programs are shape-deterministic, so (cost model, serialize) fully
-// determine the schedule and the cycle counts can be memoized.
+// determine the schedule and the Stats can be memoized.
 type timingKey struct {
 	cost      isa.CostModel
 	serialize bool
@@ -142,16 +142,13 @@ type Plan struct {
 	bind   bindFunc // nil when the inputs are bound as they are
 	finish finishFunc
 
-	// timings memoizes the deterministic schedule per timing context, so
-	// replays after the first skip the scoreboard entirely.
-	timings sync.Map // timingKey -> *timingFlight
-	// scheduled counts the scoreboard replays run for the memo.
-	scheduled atomic.Int64
-
-	// flat lazily caches the flattened functional trace of Prog, used by
-	// memoized replays in place of instruction-by-instruction execution.
-	flatOnce sync.Once
-	flat     *aicore.FlatProgram
+	// timings memoizes Prog's data-free Stats (aicore.Time) per timing
+	// context, computed once: first runs that race for a context wait for
+	// one walk, which is bounded and cannot fail, instead of repeating it.
+	timings sync.Map // timingKey -> func() *aicore.Stats (sync.OnceValue)
+	// flat returns the flattened functional trace of Prog, built on first
+	// use; every run no fault hook intercepts executes it.
+	flat func() *aicore.FlatProgram
 }
 
 // Outputs returns the number of tensors Run produces.
@@ -212,89 +209,38 @@ func (pl *Plan) Run(core *aicore.Core, inputs ...*tensor.Tensor) ([]*tensor.Tens
 	return outs, st, nil
 }
 
-// timingFlight is the timing memo of one timing context: the first
-// plain replay (the leader) runs the scoreboard, and replays arriving
-// meanwhile wait on done instead of each running it again. st is set
-// before done closes; it stays nil when the leader failed.
-type timingFlight struct {
-	done chan struct{}
-	st   *aicore.Stats
-}
-
-// replay executes the cached program, memoizing the deterministic schedule
-// per (cost model, serialize) context: the first replay runs the full
-// timing scoreboard — once, however many cores replay concurrently (see
-// timingFlight) — and later ones only replay a flattened functional trace
-// of the program (see aicore.Flatten) whose data effects are bit-identical
-// but whose host cost is a fraction of interpreting every instruction.
-// Tracing cores always schedule (the trace needs real start/end times);
-// the trace is reset first so each Run yields exactly one timeline instead
-// of entries accumulating without bound across replays.
+// replay executes the cached program and returns its Stats. Every run
+// executes the flattened functional trace (see aicore.Flatten), whose
+// data effects are bit-identical to interpreting the program, and takes
+// its Stats from the data-free walk (aicore.Time), memoized per (cost
+// model, serialize) context; a traced core's trace is reset first and
+// refilled with the walk's entries, so each Run yields one timeline. Only
+// a fault hook makes a run interpret: ReplayWith substitutes its own
+// execution, and OnInstr observes the interpreter's instruction loop,
+// which the flat trace does not have.
 func (pl *Plan) replay(core *aicore.Core) (*aicore.Stats, error) {
 	if core.ReplayWith != nil {
-		// A replay hook (fault injection) substitutes its own execution of
-		// the cached program; its timing is not the plan's deterministic
-		// schedule, so nothing is memoized.
 		return core.ReplayWith(pl.Prog)
 	}
-	key := timingKey{cost: *core.Cost, serialize: core.Serialize}
-	if core.Trace != nil || core.OnInstr != nil {
-		// The flattened fast path bypasses per-instruction hooks, so an
-		// armed OnInstr (fault injection) forces interpretation.
-		if core.Trace != nil {
-			core.Trace.Reset()
-		}
-		st, err := core.Replay(pl.Prog)
-		if err == nil && core.OnInstr == nil {
-			done := make(chan struct{})
-			close(done)
-			memo := *st
-			pl.timings.LoadOrStore(key, &timingFlight{done: done, st: &memo})
-		}
-		return st, err
+	if core.Trace != nil {
+		core.Trace.Reset()
 	}
-	for {
-		f := &timingFlight{done: make(chan struct{})}
-		v, loaded := pl.timings.LoadOrStore(key, f)
-		if !loaded {
-			return pl.lead(core, key, f)
-		}
-		f = v.(*timingFlight)
-		select {
-		case <-f.done:
-		case <-core.Cancel:
-			return nil, fmt.Errorf("ops: %s: awaiting the first replay: %w", pl.Name, aicore.ErrInterrupted)
-		}
-		if f.st != nil {
-			pl.flatOnce.Do(func() { pl.flat = aicore.Flatten(pl.Prog) })
-			if err := core.ExecFlat(pl.flat); err != nil {
-				return nil, err
-			}
-			st := *f.st
-			return &st, nil
-		}
-		// The leader failed; retry, leading if no one else does.
+	if core.OnInstr != nil {
+		return core.Replay(pl.Prog)
 	}
-}
-
-// lead runs the scoreboard replay for flight f and publishes its timing.
-// On failure (an error, an interrupt or a panic) it withdraws f and
-// wakes the waiters, which retry rather than wait forever.
-func (pl *Plan) lead(core *aicore.Core, key timingKey, f *timingFlight) (*aicore.Stats, error) {
-	defer func() {
-		if f.st == nil {
-			pl.timings.CompareAndDelete(key, f)
-		}
-		close(f.done)
-	}()
-	pl.scheduled.Add(1)
-	st, err := core.Replay(pl.Prog)
-	if err != nil {
+	if err := core.ExecFlat(pl.flat()); err != nil {
 		return nil, err
 	}
-	memo := *st
-	f.st = &memo
-	return st, nil
+	key := timingKey{cost: *core.Cost, serialize: core.Serialize}
+	v, ok := pl.timings.Load(key)
+	if !ok {
+		cost, serialize := *core.Cost, core.Serialize
+		v, _ = pl.timings.LoadOrStore(key, sync.OnceValue(func() *aicore.Stats {
+			return aicore.Time(pl.Prog, &cost, serialize)
+		}))
+	}
+	st := *v.(func() *aicore.Stats)()
+	return &st, nil
 }
 
 // planner accumulates a plan during compilation. Its scratch core provides
@@ -349,6 +295,7 @@ func (b *planner) seal(prog *cce.Program, spec Spec) (*Plan, error) {
 		prog = b.pl.Opt.Prog
 	}
 	b.pl.Prog = prog
+	b.pl.flat = sync.OnceValue(func() *aicore.FlatProgram { return aicore.Flatten(prog) })
 	b.pl.Perf = perf.Analyze(prog, perf.Options{Caps: spec.Buffers.Capacities()})
 	b.pl.gmTop = b.core.Mem.Space(isa.GM).Used()
 	return b.pl, nil

@@ -304,11 +304,30 @@ func BenchmarkReplayTile(b *testing.B) {
 // BenchmarkPlanCache compares host wall time of the cold path (compile the
 // schedule, then run) against cached replay of one plan, on the largest
 // InceptionV3 Maxpool layer of the paper (147x147, kernel 3, stride 2) —
-// the CI smoke step runs it with -benchtime=1x.
+// the CI smoke step runs it with -benchtime=1x. The strict-cold
+// sub-benchmarks time what a serving plan-cache miss costs: a strict
+// (linted) compile and the first tile's run, with allocations, for the
+// standard lowering (the largest programs to lint) and im2col.
 func BenchmarkPlanCache(b *testing.B) {
 	p := isa.ConvParams{Ih: 147, Iw: 147, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	in := randTile(42, p)
 	spec := Spec{}
+
+	for _, kernel := range []string{"maxpool_fwd/standard", "avgpool_fwd/im2col", "maxpool_fwd_argmax/standard"} {
+		b.Run("strict-cold/"+kernel, func(b *testing.B) {
+			core := newTestCore()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pl, err := Compile(kernel, Spec{Strict: true}, Dims{P: p})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := pl.Run(core, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 
 	b.Run("cold-compile", func(b *testing.B) {
 		core := newTestCore()

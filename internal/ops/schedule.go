@@ -332,7 +332,7 @@ func autoPlan(tc trace.Ctx, kernel string, spec Spec, p isa.ConvParams) (*Plan, 
 // plan cache emits sched_candidates=0 plus a sched_nosearch count and
 // the downgrade cannot be mistaken for a search that found nothing.
 func attachNoSearchReport(pl *Plan, kernel, reason string) {
-	t := aicore.Time(pl.Prog, isa.DefaultCostModel(), false)
+	t := aicore.Time(pl.Prog, isa.DefaultCostModel(), false).Cycles
 	pl.Auto = &AutoSchedReport{
 		Kernel:         kernel,
 		BaselineCycles: t,

@@ -236,7 +236,7 @@ func Optimize(prog *cce.Program, opts Options) *Result {
 	if cost == nil {
 		cost = isa.DefaultCostModel()
 	}
-	base := aicore.Time(prog, cost, false)
+	base := aicore.Time(prog, cost, false).Cycles
 	res := &Result{
 		Prog:           prog,
 		Level:          opts.Level,
@@ -259,7 +259,7 @@ func Optimize(prog *cce.Program, opts Options) *Result {
 		if next == nil || applied == 0 {
 			continue
 		}
-		nextCycles := aicore.Time(next, cost, false)
+		nextCycles := aicore.Time(next, cost, false).Cycles
 		if nextCycles > curCycles {
 			// The rewrite is legal but the schedule got worse (coarser
 			// hazard granularity can delay a consumer): discard the pass.

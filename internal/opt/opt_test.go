@@ -184,7 +184,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	if !res.Changed() || res.Cycles >= res.BaselineCycles {
 		t.Fatalf("no improvement: %s", res.Summary())
 	}
-	if got := aicore.Time(res.Prog, nil, false); got != res.Cycles {
+	if got := aicore.Time(res.Prog, nil, false).Cycles; got != res.Cycles {
 		t.Fatalf("reported cycles %d != scheduled %d", res.Cycles, got)
 	}
 	// The result must replay bit-identically; Validate already proved it,

@@ -131,7 +131,7 @@ func reschedule(prog *cce.Program, cost *isa.CostModel, budget int) (*cce.Progra
 			}
 		}
 	}
-	if moved == 0 || board.Cycles() >= aicore.Time(prog, cost, false) {
+	if moved == 0 || board.Cycles() >= aicore.Time(prog, cost, false).Cycles {
 		return nil, 0, nil
 	}
 	out := derived(prog)

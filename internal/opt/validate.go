@@ -51,8 +51,8 @@ func Validate(base, optimized *cce.Program, opts Options) string {
 	if optCP > baseCP {
 		return fmt.Sprintf("critical-path bound regressed: %d -> %d cycles", baseCP, optCP)
 	}
-	baseT := aicore.Time(base, cost, false)
-	optT := aicore.Time(optimized, cost, false)
+	baseT := aicore.Time(base, cost, false).Cycles
+	optT := aicore.Time(optimized, cost, false).Cycles
 	if optT > baseT {
 		return fmt.Sprintf("scheduled makespan regressed: %d -> %d cycles", baseT, optT)
 	}

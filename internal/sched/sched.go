@@ -116,7 +116,7 @@ func Search(kernel string, spec ops.Spec, p isa.ConvParams, o Options) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	baseCycles := aicore.Time(def.Prog, cost, false)
+	baseCycles := aicore.Time(def.Prog, cost, false).Cycles
 
 	modes := []string{variant}
 	if !o.SameModeOnly {
@@ -193,7 +193,7 @@ func Search(kernel string, spec ops.Spec, p isa.ConvParams, o Options) (*Result,
 		}
 		confirmed++
 		cs := ss.Ctx().StartSpan("sched_candidate", "impl", c.pl.Sched.String())
-		c.cand.Cycles = aicore.Time(c.pl.Prog, cost, false)
+		c.cand.Cycles = aicore.Time(c.pl.Prog, cost, false).Cycles
 		c.cand.Confirmed = true
 		cs.SetAttr("cycles", strconv.FormatInt(c.cand.Cycles, 10))
 		cs.End()
