@@ -7,10 +7,10 @@ import (
 
 // board is the implicit-sync timing scoreboard: per-pipe in-order issue,
 // exact-region data hazards with bounded history, and barrier floors.
-// walk drives it for the interpreter, Time and traced flat runs alike,
-// and the static schedulers drive it through Board, so every start time
-// they compute is identical to what Run/Replay would produce — including
-// the conservative whole-buffer floors history folding introduces.
+// walk drives it for Run, Time and traced plan runs alike, and the static
+// schedulers drive it through Board, so every start time they compute is
+// identical to what Run would produce — including the conservative
+// whole-buffer floors history folding introduces.
 type board struct {
 	cost         *isa.CostModel
 	serialize    bool
@@ -109,39 +109,39 @@ func (b *board) startOf(in isa.Instr) int64 {
 	return start
 }
 
-// Time computes, without executing prog, the Stats Run/Replay would
-// report for it under the implicit-sync scoreboard — the same cycle
-// count, busy time and traffic, including the bounded-history folding,
-// because the timing model is data-independent. A nil cost model takes
-// the calibrated default. The static optimizer (internal/opt) and the
-// schedule search use it as their cycle oracle; plans memoize it.
+// Time computes, without executing prog, the Stats Run would report for
+// it under the implicit-sync scoreboard — the same cycle count, busy time
+// and traffic, including the bounded-history folding, because the timing
+// model is data-independent. A nil cost model takes the calibrated
+// default. The static optimizer (internal/opt) and the schedule search
+// use it as their cycle oracle; plans memoize it.
 func Time(prog *cce.Program, cost *isa.CostModel, serialize bool) *Stats {
 	if cost == nil {
 		cost = isa.DefaultCostModel()
 	}
-	st, _ := walk(prog.Instrs, cost, serialize, nil, nil)
-	return st
+	return walk(prog.Instrs, cost, serialize, nil)
+}
+
+// TraceUpTo records on a traced core the schedule entries of prog's first
+// n instructions: what a run that stops at instruction n leaves in the
+// trace, since the walk places instructions in program order. An
+// untraced core records nothing.
+func (c *Core) TraceUpTo(prog *cce.Program, n int) {
+	if c.Trace != nil {
+		walk(prog.Instrs[:n], c.Cost, c.Serialize, c.Trace)
+	}
 }
 
 // walk places instrs on a fresh board in program order and returns their
-// Stats: the one timing accounting behind Time, the interpreter
-// (schedule) and a traced flat run (ExecFlat). tr, when non-nil, gets one
-// entry per placed instruction. before, when non-nil, runs ahead of each
-// placement (the interpreter's functional execution); its error ends the
-// walk, so tr keeps only the entries of the instructions before the one
-// that failed.
-func walk(instrs []isa.Instr, cost *isa.CostModel, serialize bool, tr *Trace, before func(int, isa.Instr) error) (*Stats, error) {
+// Stats: the one timing accounting behind Run, Time and traced runs. tr,
+// when non-nil, gets one entry per placed instruction.
+func walk(instrs []isa.Instr, cost *isa.CostModel, serialize bool, tr *Trace) *Stats {
 	b := newBoard(cost, serialize)
 	st := &Stats{}
 	if tr != nil {
 		tr.grow(len(instrs))
 	}
 	for idx, in := range instrs {
-		if before != nil {
-			if err := before(idx, in); err != nil {
-				return nil, err
-			}
-		}
 		t := newStallTracker()
 		start, end, stall := b.place(in, idx, &t)
 		if tr != nil {
@@ -161,14 +161,14 @@ func walk(instrs []isa.Instr, cost *isa.CostModel, serialize bool, tr *Trace, be
 		}
 	}
 	st.Cycles = b.cycles
-	return st, nil
+	return st
 }
 
 // Board is an incremental timing scoreboard for static schedulers: StartOf
 // peeks at when an instruction would start if issued next, Place commits
 // it. Issue instructions in the order the candidate program will list
-// them and Cycles returns exactly the makespan Run/Replay would report
-// for that program.
+// them and Cycles returns exactly the makespan Run would report for that
+// program.
 type Board struct{ b *board }
 
 // NewBoard creates an empty scoreboard under the given cost model. A nil

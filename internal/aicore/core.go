@@ -36,34 +36,12 @@ type Core struct {
 	// and any error-severity finding aborts the run. Opt-in because the
 	// analysis is quadratic in instruction count.
 	Strict bool
-	// OnProgram, when non-nil, observes every program handed to Run or
-	// RunExplicit before execution. cmd/davinci-lint uses it to capture
-	// the instruction streams the kernels emit for offline linting.
-	OnProgram func(*cce.Program)
 	// Cancel, when non-nil, cooperatively interrupts execution: every
 	// instruction loop polls it and returns ErrInterrupted once it is
 	// closed. The chip layer points it at a per-attempt context so a
 	// run-wide abort or a per-tile watchdog can reclaim a core that is
-	// mid-program (or hung inside a blocking hook).
+	// mid-program, or one an injected hang holds (internal/faults).
 	Cancel <-chan struct{}
-	// OnInstr, when non-nil, observes every instruction immediately before
-	// its functional execution on the interpreted paths (Run, Replay,
-	// ExecOnly, RunExplicit); a non-nil error aborts the run. The fault
-	// injector (internal/faults) uses it to perturb runs at a chosen
-	// instruction. The flattened fast path does not consult it, so plans
-	// interpret the program while a hook is armed (see ops.Plan).
-	OnInstr func(idx int, in isa.Instr) error
-	// ReplayWith, when non-nil, replaces cached-program execution in
-	// ops.Plan.Run: the plan binds inputs and reads outputs as usual but
-	// delegates the replay itself to this hook. The fault injector uses it
-	// to run a perturbed copy of the program (e.g. with a set_flag
-	// dropped) under explicit synchronization semantics.
-	ReplayWith func(*cce.Program) (*Stats, error)
-	// HangOnDeadlock makes RunExplicit model a deadlocked program the way
-	// hardware would — spinning forever on the unsatisfied wait_flag —
-	// by blocking on Cancel before returning the DeadlockError. Without a
-	// Cancel channel the error returns immediately.
-	HangOnDeadlock bool
 }
 
 // interrupted polls the Cancel channel without blocking.
@@ -191,14 +169,15 @@ func (b *bufTimes) lastOverlap(list []interval, r isa.Region) (int64, int) {
 	return t, idx
 }
 
-// Run validates, executes and times prog, returning its stats. Functional
-// state (buffer contents) reflects the completed program.
+// Run validates, executes and times prog, returning its stats: the
+// flattened trace (Flatten, ExecFlat) computes the data and one walk of
+// the data-free scoreboard (Time) the Stats and, on a traced core, the
+// trace. Functional state (buffer contents) reflects the completed
+// program. If instruction i fails, the trace keeps the entries of the
+// instructions before i.
 func (c *Core) Run(prog *cce.Program) (*Stats, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
-	}
-	if c.OnProgram != nil {
-		c.OnProgram(prog)
 	}
 	if c.Strict {
 		// Run's scoreboard orders hazards implicitly, so verify the
@@ -207,61 +186,11 @@ func (c *Core) Run(prog *cce.Program) (*Stats, error) {
 			return nil, err
 		}
 	}
-	return c.schedule(prog)
-}
-
-// Replay interprets and times a pre-compiled program, skipping per-run
-// validation and strict linting: a plan (internal/ops) validates — and, for
-// strict specs, lints — the instruction stream once at compile time. Plans
-// call it only on a core with an OnInstr hook armed; other runs take the
-// flattened trace (ExecFlat) and the data-free Time. Timing and
-// functional semantics are identical to Run.
-func (c *Core) Replay(prog *cce.Program) (*Stats, error) {
-	if c.OnProgram != nil {
-		c.OnProgram(prog)
+	fp := Flatten(prog)
+	ran, err := c.execOps(fp, fp.ops)
+	st := walk(prog.Instrs[:ran], c.Cost, c.Serialize, c.Trace)
+	if err != nil {
+		return nil, err
 	}
-	return c.schedule(prog)
-}
-
-// ExecOnly executes prog functionally — in program order, like Run — but
-// computes no schedule and no stats. Translation validation
-// (internal/opt) compares two programs' data effects with it.
-func (c *Core) ExecOnly(prog *cce.Program) error {
-	if c.OnProgram != nil {
-		c.OnProgram(prog)
-	}
-	for idx, in := range prog.Instrs {
-		if err := c.step(prog, idx, in); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// step interprets instruction idx of prog: it polls Cancel, consults
-// OnInstr and executes in, naming the instruction in any error.
-func (c *Core) step(prog *cce.Program, idx int, in isa.Instr) error {
-	if c.interrupted() {
-		return fmt.Errorf("aicore: %s instr %d: %w", prog.Name, idx, ErrInterrupted)
-	}
-	if c.OnInstr != nil {
-		if err := c.OnInstr(idx, in); err != nil {
-			return fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
-		}
-	}
-	if err := c.exec(in); err != nil {
-		return fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
-	}
-	return nil
-}
-
-// schedule is the shared body of Run and Replay: the timing walk (see
-// walk, which also backs the data-free Time) with each instruction
-// executed functionally, in program order, just before it is placed.
-// In-order issue per pipe plus hazard-respecting start times make
-// program order equivalent to the timed order for data.
-func (c *Core) schedule(prog *cce.Program) (*Stats, error) {
-	return walk(prog.Instrs, c.Cost, c.Serialize, c.Trace, func(idx int, in isa.Instr) error {
-		return c.step(prog, idx, in)
-	})
+	return st, nil
 }

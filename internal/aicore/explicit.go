@@ -16,14 +16,11 @@ import (
 // program is ordered by the explicit schedule; a missing flag surfaces as
 // a race error, exactly the bug class real CCE kernels suffer.
 //
-// Functional execution still happens in program order, which is valid for
-// any race-free program.
+// Functional execution runs the flattened trace in program order, which
+// is valid for any race-free program; the schedule is TimeExplicit's.
 func (c *Core) RunExplicit(prog *cce.Program) (*Stats, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
-	}
-	if c.OnProgram != nil {
-		c.OnProgram(prog)
 	}
 	if c.Strict {
 		// Explicit semantics: cross-pipe ordering must come from flags
@@ -32,14 +29,24 @@ func (c *Core) RunExplicit(prog *cce.Program) (*Stats, error) {
 			return nil, err
 		}
 	}
-	// Functional pass (program order).
-	for idx, in := range prog.Instrs {
-		if err := c.step(prog, idx, in); err != nil {
-			return nil, err
-		}
+	fp := Flatten(prog)
+	if _, err := c.execOps(fp, fp.ops); err != nil {
+		return nil, err
 	}
+	return c.TimeExplicit(prog)
+}
 
-	// Timing pass: event-driven over per-pipe queues.
+// TimeExplicit schedules prog under explicit synchronization without
+// executing it, the timing half of RunExplicit: an event-driven walk over
+// per-pipe in-order queues in which a wait_flag consumes a token its
+// set_flag produced, a barrier starts once every earlier instruction has
+// completed, and no instruction is placed while a barrier before it in
+// program order is still unplaced. On a traced core it records each
+// instruction as it is placed. A wait whose token never arrives ends the
+// walk with a *DeadlockError naming the blocked pipe and flag (the trace
+// then holds what was placed); a data dependency the schedule leaves
+// unordered is a race error.
+func (c *Core) TimeExplicit(prog *cce.Program) (*Stats, error) {
 	type item struct {
 		idx int
 		in  isa.Instr
@@ -49,9 +56,13 @@ func (c *Core) RunExplicit(prog *cce.Program) (*Stats, error) {
 		setter int   // instruction index of the set_flag
 	}
 	var pipes [isa.NumPipes][]item
+	var barriers []int // barrier indices, in program (= placement) order
 	for idx, in := range prog.Instrs {
 		p := in.Pipe()
 		pipes[p] = append(pipes[p], item{idx, in})
+		if _, ok := in.(*isa.BarrierInstr); ok {
+			barriers = append(barriers, idx)
+		}
 	}
 	var heads [isa.NumPipes]int
 	var pipeFree [isa.NumPipes]int64
@@ -70,6 +81,9 @@ func (c *Core) RunExplicit(prog *cce.Program) (*Stats, error) {
 		for p := isa.Pipe(0); p < isa.NumPipes; p++ {
 			for heads[p] < len(pipes[p]) {
 				it := pipes[p][heads[p]]
+				if len(barriers) > 0 && it.idx > barriers[0] {
+					goto nextPipe // behind a barrier not yet placed
+				}
 				tr := newStallTracker()
 				tr.propose(barrierFloor, StallBarrier, 0, -1)
 				switch v := it.in.(type) {
@@ -82,7 +96,8 @@ func (c *Core) RunExplicit(prog *cce.Program) (*Stats, error) {
 					tr.propose(q[0].t, StallFlagWait, 0, q[0].setter)
 					tokens[key] = q[1:]
 				case *isa.BarrierInstr:
-					// A barrier waits for every earlier instruction.
+					// A barrier waits for every earlier instruction; none
+					// later has been placed, so the count says when.
 					if completed < it.idx {
 						goto nextPipe
 					}
@@ -107,6 +122,7 @@ func (c *Core) RunExplicit(prog *cce.Program) (*Stats, error) {
 				}
 				if _, ok := it.in.(*isa.BarrierInstr); ok {
 					barrierFloor = e
+					barriers = barriers[1:]
 				}
 				stats.PipeBusy[p] += it.in.Cycles(c.Cost)
 				stats.PipeInstrs[p]++
@@ -143,16 +159,11 @@ func (c *Core) RunExplicit(prog *cce.Program) (*Stats, error) {
 					break
 				}
 				if dl.Instr < 0 {
-					// Fallback: a barrier blocked behind another pipe's
-					// starved wait; still name a blocked pipe.
+					// Fallback: a barrier (or an instruction behind one)
+					// blocked behind another pipe's starved wait; still
+					// name a blocked pipe.
 					dl.Pipe, dl.Instr = p, it.idx
 				}
-			}
-			if c.HangOnDeadlock && c.Cancel != nil {
-				// Hardware would spin on the wait forever: block until the
-				// watchdog (or a run-wide abort) reclaims the core, then
-				// surface the diagnosis.
-				<-c.Cancel
 			}
 			return nil, dl
 		}
@@ -197,7 +208,8 @@ func (e *DeadlockError) Error() string {
 
 // findRace scans dependencies in program order and checks that the
 // producer completed before the consumer started. Same-pipe pairs are
-// ordered by in-order issue and skipped.
+// ordered by in-order issue and skipped, and so are pairs a barrier
+// separates: TimeExplicit starts nothing after a barrier before it ends.
 func findRace(instrs []isa.Instr, start, end []int64) (consumer, producer int, err error) {
 	type access struct {
 		idx    int

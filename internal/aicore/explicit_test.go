@@ -164,3 +164,43 @@ func TestExplicitPreservesOverlap(t *testing.T) {
 		t.Errorf("independent work serialized: %d cycles vs copy %d", st.Cycles, copyCost)
 	}
 }
+
+// barrierProgram copies GM into UB[0:4096) on MTE2, then issues a pipe
+// barrier, then a vadds on the Vector pipe reading UB[0:512): only the
+// barrier orders the vadds after the copy.
+func barrierProgram() *cce.Program {
+	p := cce.New("barrier")
+	p.EmitCopy(isa.GM, 0, isa.UB, 0, 4096)
+	p.EmitBarrier()
+	p.EmitVec(isa.VAdds, isa.Contig(isa.UB, 8192), isa.Contig(isa.UB, 0), isa.Operand{}, fp16.One, isa.FullMask(), 2)
+	return p
+}
+
+// TestExplicitBarrierHoldsLaterInstrs: under explicit semantics a pipe
+// barrier holds back every later instruction, on every pipe, until it
+// ends — also one whose pipe reaches it before the barrier is placed —
+// so the vadds starts after the copy and the barrier, as under Run.
+func TestExplicitBarrierHoldsLaterInstrs(t *testing.T) {
+	c := New(buffer.Config{}, nil)
+	c.Trace = &Trace{}
+	if _, err := c.RunExplicit(barrierProgram()); err != nil {
+		t.Fatal(err)
+	}
+	var at [3]TraceEntry
+	for _, e := range c.Trace.Entries {
+		at[e.Idx] = e
+	}
+	copyEnd, barrier, vadds := at[0].End, at[1], at[2]
+	if barrier.Start < copyEnd || vadds.Start < barrier.End {
+		t.Errorf("copy ends at %d, barrier runs [%d,%d), vadds starts at %d: want the vadds after the barrier",
+			copyEnd, barrier.Start, barrier.End, vadds.Start)
+	}
+	implicit := New(buffer.Config{}, nil)
+	implicit.Trace = &Trace{}
+	if _, err := implicit.Run(barrierProgram()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := vadds.Start, implicit.Trace.Entries[2].Start; got != want {
+		t.Errorf("vadds starts at %d under RunExplicit, %d under Run", got, want)
+	}
+}

@@ -1,10 +1,25 @@
 package aicore
 
 import (
+	"fmt"
 	"unsafe"
 
+	"davinci/internal/cce"
 	"davinci/internal/isa"
 )
+
+// Interpret executes prog on the interpreter (exec), instruction by
+// instruction in program order: the oracle the flattened trace, which
+// every run executes, is checked against. Its errors name the failing
+// instruction the way Run's do.
+func (c *Core) Interpret(prog *cce.Program) error {
+	for idx, in := range prog.Instrs {
+		if err := c.exec(in); err != nil {
+			return fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, idx, in, err)
+		}
+	}
+	return nil
+}
 
 // FlatOps returns the number of primitive ops in a flattened program.
 func FlatOps(fp *FlatProgram) int { return len(fp.ops) }

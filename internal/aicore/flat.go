@@ -70,11 +70,13 @@ type flatOp struct {
 // data operations, with adjacent operations coalesced whenever doing so
 // preserves the exact elementary load/op/store order, and vmax reduction
 // chains fused whenever every lane keeps its exact sequence of operations
-// (foldChains). Replaying the trace is bit-identical to interpreting the
+// (foldChains). Executing the trace is bit-identical to interpreting the
 // program instruction by instruction, but amortizes all per-lane
-// bookkeeping — which is what makes plan replay cheap. Flattening never
-// affects timing: cycle counts come from the data-free walk of the
-// program (Time), which plans memoize.
+// bookkeeping — which is what makes plan runs cheap. Every program runs
+// this way (Run, plans, RunExplicit); the interpreter (exec) remains
+// only as the fallback for instructions the trace does not resolve.
+// Flattening never affects timing: cycle counts come from the data-free
+// walk of the program (Time), which plans memoize.
 type FlatProgram struct {
 	prog *cce.Program
 	ops  []flatOp
@@ -387,18 +389,14 @@ func chainLen(ops []flatOp) int {
 }
 
 // ExecFlat functionally executes a flattened trace, in trace (= program)
-// order; buffer contents afterwards are bit-identical to Run on the
-// original program. It computes no Stats (see Time). On a traced core it
-// records the schedule entries Run would record: every instruction's, or,
-// when the run fails, those of the instructions before the failing one.
+// order; buffer contents afterwards are bit-identical to interpreting the
+// original program instruction by instruction. It computes no Stats (see
+// Time). On a traced core it records the schedule entries Run would
+// record: every instruction's, or, when the run fails, those of the
+// instructions before the failing one.
 func (c *Core) ExecFlat(fp *FlatProgram) error {
-	if c.OnProgram != nil {
-		c.OnProgram(fp.prog)
-	}
 	ran, err := c.execOps(fp, fp.ops)
-	if c.Trace != nil {
-		walk(fp.prog.Instrs[:ran], c.Cost, c.Serialize, c.Trace, nil)
-	}
+	c.TraceUpTo(fp.prog, ran)
 	return err
 }
 

@@ -13,9 +13,9 @@ import (
 	"davinci/internal/tensor"
 )
 
-// Property: a row-banded Im2Col load produces exactly the fractals of the
-// whole-tensor transform for its patch range, for arbitrary random layer
-// configurations and fractal-aligned patch windows.
+// Property: a row-banded Im2Col load produces, on both engines, exactly
+// the fractals of the whole-tensor transform for its patch range, for
+// arbitrary random layer configurations and fractal-aligned patch windows.
 func TestQuickIm2ColRowBands(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -45,40 +45,49 @@ func TestQuickIm2ColRowBands(t *testing.T) {
 		pa := f0 * isa.FractalPatches
 		lo, hi := rowRange(p, pa, pa+fb*isa.FractalPatches)
 
-		// Load only rows [lo, hi) into L1.
-		core := New(buffer.Config{}, nil)
-		rowB := p.Iw * tensor.C0 * fp16.Bytes
-		band := tensor.New(1, 1, hi-lo, p.Iw, tensor.C0)
-		copy(band.Data, in.Data[lo*rowB:hi*rowB])
-		l1Addr, err := core.Mem.PlaceTensor(isa.L1, band)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		outBytes := p.Kh * p.Kw * fb * isa.FractalBytes
-		ubAddr := core.Mem.Space(isa.UB).MustAlloc(outBytes)
+		check := func(run func(*Core, *cce.Program) error) bool {
+			// Load only rows [lo, hi) into L1.
+			core := New(buffer.Config{}, nil)
+			rowB := p.Iw * tensor.C0 * fp16.Bytes
+			band := tensor.New(1, 1, hi-lo, p.Iw, tensor.C0)
+			copy(band.Data, in.Data[lo*rowB:hi*rowB])
+			l1Addr, err := core.Mem.PlaceTensor(isa.L1, band)
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			outBytes := p.Kh * p.Kw * fb * isa.FractalBytes
+			ubAddr := core.Mem.Space(isa.UB).MustAlloc(outBytes)
 
-		prog := cce.New("banded")
-		prog.EmitIm2ColRange(l1Addr, isa.UB, ubAddr, p, 1, 0, pa, fb, lo, hi-lo)
-		if _, err := core.Run(prog); err != nil {
-			t.Logf("%+v band [%d,%d) patches %d+%d: %v", p, lo, hi, pa, fb*16, err)
-			return false
-		}
-		got := core.Mem.ReadTensor(isa.UB, ubAddr, p.Kh, p.Kw, fb*isa.FractalPatches, tensor.C0)
-		for xk := 0; xk < p.Kh; xk++ {
-			for yk := 0; yk < p.Kw; yk++ {
-				for pt := 0; pt < fb*isa.FractalPatches; pt++ {
-					for c0 := 0; c0 < tensor.C0; c0++ {
-						var want fp16.Float16
-						if pa+pt < p.PaddedPatches() {
-							want = spec.At(0, 0, xk, yk, pa+pt, c0)
-						}
-						if got.At(xk, yk, pt, c0) != want {
-							t.Logf("%+v mismatch at (%d,%d,%d,%d)", p, xk, yk, pt, c0)
-							return false
+			prog := cce.New("banded")
+			prog.EmitIm2ColRange(l1Addr, isa.UB, ubAddr, p, 1, 0, pa, fb, lo, hi-lo)
+			if err := run(core, prog); err != nil {
+				t.Logf("%+v band [%d,%d) patches %d+%d: %v", p, lo, hi, pa, fb*16, err)
+				return false
+			}
+			got := core.Mem.ReadTensor(isa.UB, ubAddr, p.Kh, p.Kw, fb*isa.FractalPatches, tensor.C0)
+			for xk := 0; xk < p.Kh; xk++ {
+				for yk := 0; yk < p.Kw; yk++ {
+					for pt := 0; pt < fb*isa.FractalPatches; pt++ {
+						for c0 := 0; c0 < tensor.C0; c0++ {
+							var want fp16.Float16
+							if pa+pt < p.PaddedPatches() {
+								want = spec.At(0, 0, xk, yk, pa+pt, c0)
+							}
+							if got.At(xk, yk, pt, c0) != want {
+								t.Logf("%+v mismatch at (%d,%d,%d,%d)", p, xk, yk, pt, c0)
+								return false
+							}
 						}
 					}
 				}
+			}
+			return true
+		}
+		for _, eng := range engines {
+			if !check(eng.run) {
+				t.Logf("engine %s", eng.name)
+				return false
 			}
 		}
 		return true
@@ -105,8 +114,9 @@ func rowRange(p isa.ConvParams, pa, pb int) (lo, hi int) {
 	return lo, hi
 }
 
-// Property: a row-banded Col2Im merge over a full patch set reproduces the
-// whole-tensor col2im when the bands are stitched back together.
+// Property: a row-banded Col2Im merge over a full patch set reproduces, on
+// both engines, the whole-tensor col2im when the bands are stitched back
+// together.
 func TestQuickCol2ImRowBands(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -133,52 +143,61 @@ func TestQuickCol2ImRowBands(t *testing.T) {
 		if split >= fracs {
 			split = fracs
 		}
-		out := tensor.New(1, 1, p.Ih, p.Iw, tensor.C0)
-		rowB := p.Iw * tensor.C0 * fp16.Bytes
-		prevHi := 0
-		for _, rangeFr := range [][2]int{{0, split}, {split, fracs}} {
-			f0, f1 := rangeFr[0], rangeFr[1]
-			if f0 >= f1 {
-				continue
-			}
-			pa := f0 * isa.FractalPatches
-			lo, hi := rowRange(p, pa, f1*isa.FractalPatches)
-			core := New(buffer.Config{}, nil)
-			// Source: the band's fractal slices, packed per (xk, yk).
-			fb := f1 - f0
-			src := tensor.New(p.Kh*p.Kw, fb*isa.FractalPatches, tensor.C0)
-			for s := 0; s < p.Kh*p.Kw; s++ {
-				for pt := 0; pt < fb*isa.FractalPatches; pt++ {
-					for c0 := 0; c0 < tensor.C0; c0++ {
-						src.Set(cols.At(0, 0, s/p.Kw, s%p.Kw, pa+pt, c0), s, pt, c0)
+		check := func(run func(*Core, *cce.Program) error) bool {
+			out := tensor.New(1, 1, p.Ih, p.Iw, tensor.C0)
+			rowB := p.Iw * tensor.C0 * fp16.Bytes
+			prevHi := 0
+			for _, rangeFr := range [][2]int{{0, split}, {split, fracs}} {
+				f0, f1 := rangeFr[0], rangeFr[1]
+				if f0 >= f1 {
+					continue
+				}
+				pa := f0 * isa.FractalPatches
+				lo, hi := rowRange(p, pa, f1*isa.FractalPatches)
+				core := New(buffer.Config{}, nil)
+				// Source: the band's fractal slices, packed per (xk, yk).
+				fb := f1 - f0
+				src := tensor.New(p.Kh*p.Kw, fb*isa.FractalPatches, tensor.C0)
+				for s := 0; s < p.Kh*p.Kw; s++ {
+					for pt := 0; pt < fb*isa.FractalPatches; pt++ {
+						for c0 := 0; c0 < tensor.C0; c0++ {
+							src.Set(cols.At(0, 0, s/p.Kw, s%p.Kw, pa+pt, c0), s, pt, c0)
+						}
 					}
 				}
-			}
-			srcAddr, err := core.Mem.PlaceTensor(isa.UB, src)
-			if err != nil {
-				return false
-			}
-			dstAddr := core.Mem.Space(isa.UB).MustAlloc((hi - lo) * rowB)
-			// Carry in partial sums from the previous band's overlap rows.
-			overlap := prevHi - lo
-			if overlap < 0 {
-				overlap = 0
-			}
-			copy(core.Mem.Mem(isa.UB)[dstAddr:dstAddr+overlap*rowB], out.Data[lo*rowB:])
-			core.Mem.ZeroRange(isa.UB, dstAddr+overlap*rowB, (hi-lo-overlap)*rowB)
+				srcAddr, err := core.Mem.PlaceTensor(isa.UB, src)
+				if err != nil {
+					return false
+				}
+				dstAddr := core.Mem.Space(isa.UB).MustAlloc((hi - lo) * rowB)
+				// Carry in partial sums from the previous band's overlap rows.
+				overlap := prevHi - lo
+				if overlap < 0 {
+					overlap = 0
+				}
+				copy(core.Mem.Mem(isa.UB)[dstAddr:dstAddr+overlap*rowB], out.Data[lo*rowB:])
+				core.Mem.ZeroRange(isa.UB, dstAddr+overlap*rowB, (hi-lo-overlap)*rowB)
 
-			prog := cce.New("col2im-band")
-			prog.EmitCol2ImRange(srcAddr, dstAddr, p, pa, fb, lo, hi-lo)
-			if _, err := core.Run(prog); err != nil {
-				t.Logf("%+v: %v", p, err)
+				prog := cce.New("col2im-band")
+				prog.EmitCol2ImRange(srcAddr, dstAddr, p, pa, fb, lo, hi-lo)
+				if err := run(core, prog); err != nil {
+					t.Logf("%+v: %v", p, err)
+					return false
+				}
+				copy(out.Data[lo*rowB:hi*rowB], core.Mem.Mem(isa.UB)[dstAddr:dstAddr+(hi-lo)*rowB])
+				prevHi = hi
+			}
+			if tensor.MaxAbsDiff(out, want) != 0 {
+				t.Logf("%+v split %d: stitched col2im diverges", p, split)
 				return false
 			}
-			copy(out.Data[lo*rowB:hi*rowB], core.Mem.Mem(isa.UB)[dstAddr:dstAddr+(hi-lo)*rowB])
-			prevHi = hi
+			return true
 		}
-		if tensor.MaxAbsDiff(out, want) != 0 {
-			t.Logf("%+v split %d: stitched col2im diverges", p, split)
-			return false
+		for _, eng := range engines {
+			if !check(eng.run) {
+				t.Logf("engine %s", eng.name)
+				return false
+			}
 		}
 		return true
 	}

@@ -65,21 +65,3 @@ func TestStrictUsesConfiguredCapacities(t *testing.T) {
 		t.Fatalf("strict Run rejected an in-bounds program: %v", err)
 	}
 }
-
-// TestOnProgramObservesRuns: the capture hook sees every program handed to
-// both entry points.
-func TestOnProgramObservesRuns(t *testing.T) {
-	c := New(buffer.Config{}, nil)
-	var seen []string
-	c.OnProgram = func(p *cce.Program) { seen = append(seen, p.Name) }
-	p, _, _ := buildChain(c)
-	if _, err := c.Run(p); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunExplicit(cce.AutoSync(p)); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 2 || seen[0] != "chain" || seen[1] != "chain+sync" {
-		t.Errorf("OnProgram saw %v, want [chain chain+sync]", seen)
-	}
-}

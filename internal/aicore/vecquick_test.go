@@ -1,7 +1,9 @@
 package aicore
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -59,9 +61,20 @@ func scalarVecModel(mem []byte, v *isa.VecInstr) {
 	}
 }
 
-// Property: execVec and the scalar model produce identical UB contents for
-// random instructions (random ops, strides, masks, repeats, aliasing
-// allowed within the same region family).
+// engines are the two ways to execute a program: Run, on the flattened
+// trace, and the interpreter, its oracle. Property tests check each
+// against their model.
+var engines = []struct {
+	name string
+	run  func(*Core, *cce.Program) error
+}{
+	{"flat", func(c *Core, p *cce.Program) error { _, err := c.Run(p); return err }},
+	{"interpreter", (*Core).Interpret},
+}
+
+// Property: both engines and the scalar model produce identical UB
+// contents for random instructions (random ops, strides, masks, repeats,
+// aliasing allowed within the same region family).
 func TestQuickVecAddressing(t *testing.T) {
 	const region = 64 << 10
 	ops := []isa.VecOp{isa.VAdd, isa.VSub, isa.VMul, isa.VMax, isa.VMin, isa.VAdds, isa.VMuls, isa.VDup, isa.VCopy, isa.VCmpEq}
@@ -95,27 +108,27 @@ func TestQuickVecAddressing(t *testing.T) {
 			Repeat: repeat,
 		}
 
-		// Two identical memories with random contents.
-		core := New(buffer.Config{}, nil)
-		ub := core.Mem.Mem(isa.UB)
-		model := make([]byte, len(ub))
+		// Random starting contents, shared by the model and every engine.
+		start := make([]byte, region)
 		for i := 0; i < region; i += 2 {
-			h := fp16.FromFloat64(float64(rng.Intn(64)) - 32)
-			fp16.Store(ub, i, h)
-			fp16.Store(model, i, h)
+			fp16.Store(start, i, fp16.FromFloat64(float64(rng.Intn(64))-32))
 		}
-		core.Mem.Space(isa.UB).MustAlloc(region)
+		model := slices.Clone(start)
+		scalarVecModel(model, v)
 
 		p := cce.New("quick")
 		p.Emit(v)
-		if _, err := core.Run(p); err != nil {
-			t.Logf("run failed: %v (%+v)", err, v)
-			return false
-		}
-		scalarVecModel(model, v)
-		for i := 0; i < region; i++ {
-			if ub[i] != model[i] {
-				t.Logf("byte %d differs for %+v", i, v)
+		for _, eng := range engines {
+			core := New(buffer.Config{}, nil)
+			ub := core.Mem.Mem(isa.UB)
+			copy(ub, start)
+			core.Mem.Space(isa.UB).MustAlloc(region)
+			if err := eng.run(core, p); err != nil {
+				t.Logf("%s: run failed: %v (%+v)", eng.name, err, v)
+				return false
+			}
+			if !bytes.Equal(ub[:region], model) {
+				t.Logf("%s: UB differs from the model for %+v", eng.name, v)
 				return false
 			}
 		}

@@ -245,16 +245,12 @@ func (c *Chip) getCore() *aicore.Core {
 }
 
 // putCore returns a clean core to the free list with its per-attempt
-// hooks, Cancel channel and Trace cleared, or drops it when the list is
-// full. Callers pass only cores whose last attempt succeeded; a failed
-// attempt may have left corrupted scratch-pads.
+// Cancel channel and Trace cleared, or drops it when the list is full.
+// Callers pass only cores whose last attempt succeeded; a failed attempt
+// may have left corrupted scratch-pads.
 func (c *Chip) putCore(core *aicore.Core) {
 	core.Trace = nil
 	core.Cancel = nil
-	core.OnProgram = nil
-	core.OnInstr = nil
-	core.ReplayWith = nil
-	core.HangOnDeadlock = false
 	p := c.cores
 	p.mu.Lock()
 	if len(p.free) < runtime.GOMAXPROCS(0) {
@@ -494,7 +490,7 @@ func (c *Chip) RunBatch(kernel string, d ops.Dims, members [][]*tensor.Tensor) (
 		}
 		return ts
 	}
-	results, stats, err := c.runTiles(rs, start[len(members)], c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+	results, stats, err := c.runTiles(rs, pl.Prog, start[len(members)], c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
 		return pl.Run(core, tile(ni, ci)...)
 	}, func(ni, ci int) []*tensor.Tensor {
 		return k.Golden(d, tile(ni, ci))

@@ -104,7 +104,9 @@ func TestCorePoolReuseMatchesFresh(t *testing.T) {
 
 // TestCorePoolDropsFailedCores: with a fault on every first attempt of
 // a one-tile run, the faulted core is dropped and only the retry's clean
-// core returns to the free list.
+// core returns to the free list. The faulted attempt fires its fault in
+// place of the tile run, so the run closure sees only the retry; the
+// faulted core is the one the free list held when the run began.
 func TestCorePoolDropsFailedCores(t *testing.T) {
 	p := isa.ConvParams{Ih: 17, Iw: 17, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	inj := faults.New(faults.Config{Seed: 1, Rate: 1, Kinds: []faults.Kind{faults.KindTransient}}, nil)
@@ -115,31 +117,26 @@ func TestCorePoolDropsFailedCores(t *testing.T) {
 	}
 	in := tensor.New(1, 1, p.Ih, p.Iw, tensor.C0)
 	in.FillRandom(rand.New(rand.NewSource(2)), 8)
-	var mu sync.Mutex
-	var failed, clean []*aicore.Core
-	_, _, err = c.runTiles(nil, 1, 1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
-		outs, st, err := pl.Run(core, in)
-		mu.Lock()
-		if err != nil {
-			failed = append(failed, core)
-		} else {
-			clean = append(clean, core)
-		}
-		mu.Unlock()
-		return outs, st, err
+	faulted := c.getCore()
+	c.putCore(faulted)
+	var ran []*aicore.Core
+	_, _, err = c.runTiles(nil, pl.Prog, 1, 1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+		ran = append(ran, core)
+		return pl.Run(core, in)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(failed) != 1 || len(clean) != 1 {
-		t.Fatalf("%d failed and %d clean attempts, want 1 and 1", len(failed), len(clean))
+	if got := inj.Injected(faults.KindTransient); got != 1 || len(ran) != 1 || ran[0] == faulted {
+		t.Fatalf("%d faults, %d clean runs (on the faulted core: %v), want 1 and 1 on a fresh core",
+			got, len(ran), len(ran) > 0 && ran[0] == faulted)
 	}
 	free := c.cores.free
-	if len(free) != 1 || free[0] != clean[0] {
-		t.Fatalf("free list %p, want only the clean core %p", free, clean[0])
+	if len(free) != 1 || free[0] != ran[0] {
+		t.Fatalf("free list %p, want only the clean core %p", free, ran[0])
 	}
-	if free[0].OnInstr != nil || free[0].Cancel != nil || free[0].Trace != nil {
-		t.Error("a pooled core kept its per-attempt hooks")
+	if free[0].Cancel != nil || free[0].Trace != nil {
+		t.Error("a pooled core kept its per-attempt Cancel or Trace")
 	}
 }
 
@@ -154,7 +151,7 @@ func TestCorePoolBound(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			view := c.WithContext(context.Background()).WithTrace(c.cfg.Trace)
-			_, _, err := view.runTiles(nil, 1, 8, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+			_, _, err := view.runTiles(nil, nil, 1, 8, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
 				runtime.Gosched()
 				return nil, &aicore.Stats{Cycles: 1}, nil
 			}, nil)

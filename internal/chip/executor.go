@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"davinci/internal/aicore"
+	"davinci/internal/cce"
 	"davinci/internal/faults"
 	"davinci/internal/tensor"
 	"davinci/internal/trace"
@@ -50,7 +51,9 @@ type Resilience struct {
 	// fields below.
 	Enabled bool
 	// Injector, when non-nil, perturbs tile attempts with deterministic
-	// seeded faults (internal/faults) — the chaos harness. The hang kinds
+	// seeded faults (internal/faults) — the chaos harness. A faulted
+	// attempt executes no instruction: the executor hands the decided
+	// fault to Injector.Fire in place of the tile run. The hang kinds
 	// block until a watchdog or the run's context reclaims the core, so
 	// they need Enabled or a Watchdog.
 	Injector *faults.Injector
@@ -69,8 +72,8 @@ type Resilience struct {
 	// TraceTail is how many trailing trace entries a hang report carries;
 	// 0 means 8 with Enabled and no attempt tracing without. Negative
 	// disables attempt tracing (hang reports then carry no schedule tail).
-	// A traced attempt runs the flattened trace like any other; its
-	// entries come from the data-free timing walk.
+	// A traced attempt's entries come from a data-free timing walk, up to
+	// where a faulted attempt wedged.
 	TraceTail int
 }
 
@@ -147,6 +150,7 @@ type lane struct {
 type executor struct {
 	chip *Chip
 	pol  Resilience
+	prog *cce.Program // what run executes; faults act on it
 	run  tileRun
 	fb   tileFallback
 	rs   *runScope
@@ -176,12 +180,14 @@ type executor struct {
 // independent of the host. The host runs a pool of
 // min(GOMAXPROCS, Cores, tiles) workers; a worker drives one simulated
 // core at a time and reuses one aicore.Core across clean attempts, taken
-// from and returned to the chip's free list.
+// from and returned to the chip's free list. An attempt the injector
+// faults runs Injector.Fire on prog, the program run executes, instead of
+// run (callers that inject no faults may pass a nil prog).
 // Failed attempts are classified, retried on a clean core placed on the
 // least-loaded healthy core that has not failed the tile, and optionally
 // degraded to the golden model (see Resilience). The first fatal error,
 // or cancellation of Config.Context, interrupts every in-flight attempt.
-func (c *Chip) runTiles(rs *runScope, n, c1 int, run tileRun, fb tileFallback) ([][]tileResult, *Stats, error) {
+func (c *Chip) runTiles(rs *runScope, prog *cce.Program, n, c1 int, run tileRun, fb tileFallback) ([][]tileResult, *Stats, error) {
 	parent := c.cfg.Context
 	if parent == nil {
 		parent = context.Background()
@@ -193,6 +199,7 @@ func (c *Chip) runTiles(rs *runScope, n, c1 int, run tileRun, fb tileFallback) (
 	e := &executor{
 		chip:      c,
 		pol:       c.cfg.Resilience.policy(),
+		prog:      prog,
 		run:       run,
 		fb:        fb,
 		rs:        rs,
@@ -300,11 +307,11 @@ func (e *executor) next(k *int) (tileAttempt, bool) {
 	}
 }
 
-// attempt runs j on simulated core k with the watchdog armed and (when
-// configured) a fault injected, then classifies the outcome. core is the
-// worker's host core (nil takes one from the chip's free list); the
-// result is the core to use next: the same one after a clean attempt, nil
-// after a failed one, whose scratch-pads may hold corrupted data.
+// attempt runs j on simulated core k with the watchdog armed (or fires
+// its fault instead), then classifies the outcome. core is the worker's
+// host core (nil takes one from the chip's free list); the result is the
+// core to use next: the same one after a clean attempt, nil after a
+// failed one, whose scratch-pads may hold corrupted data.
 func (e *executor) attempt(core *aicore.Core, k int, j tileAttempt) *aicore.Core {
 	if e.ctx.Err() != nil {
 		// Already aborted: don't start an attempt that must not run.
@@ -320,21 +327,18 @@ func (e *executor) attempt(core *aicore.Core, k int, j tileAttempt) *aicore.Core
 	if e.pol.TraceTail > 0 || capturing {
 		core.Trace = &aicore.Trace{}
 	}
-	inj := e.pol.Injector
-	if inj != nil {
-		inj.Arm(core, inj.Decide(faults.Tile{N: j.n, C1: j.c1}, j.attempt))
+	var f faults.Fault
+	if inj := e.pol.Injector; inj != nil {
+		f = inj.Decide(faults.Tile{N: j.n, C1: j.c1}, j.attempt)
 	}
 
 	ts := e.rs.tileSpan(k, j)
 	cancel, hung := e.watch()
 	core.Cancel = cancel
 	start := time.Now()
-	outs, st, err := e.guardedRun(core, k, j)
+	outs, st, err := e.guardedRun(core, k, j, f)
 	c.tileWall.Observe(time.Since(start).Nanoseconds())
 	wdFired := hung()
-	if inj != nil {
-		faults.Disarm(core)
-	}
 
 	if err == nil {
 		if ts != nil {
@@ -391,9 +395,10 @@ func (e *executor) watch() (<-chan struct{}, func() bool) {
 	}
 }
 
-// guardedRun invokes the tile closure with panic containment: a
+// guardedRun carries out fault f, if any, and runs the tile closure
+// unless the fault failed the attempt, with panic containment: a
 // panicking worker becomes a typed error, not a crashed process.
-func (e *executor) guardedRun(core *aicore.Core, k int, j tileAttempt) (outs []*tensor.Tensor, st *aicore.Stats, err error) {
+func (e *executor) guardedRun(core *aicore.Core, k int, j tileAttempt, f faults.Fault) (outs []*tensor.Tensor, st *aicore.Stats, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = &TileError{
@@ -404,6 +409,11 @@ func (e *executor) guardedRun(core *aicore.Core, k int, j tileAttempt) (outs []*
 			}
 		}
 	}()
+	if f.Kind != faults.KindNone {
+		if err := e.pol.Injector.Fire(core, e.prog, f); err != nil {
+			return nil, nil, err
+		}
+	}
 	return e.run(core, j.n, j.c1)
 }
 

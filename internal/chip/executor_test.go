@@ -29,7 +29,7 @@ func TestPoolBoundAndPlacement(t *testing.T) {
 		t.Run(pc.name, func(t *testing.T) {
 			c := New(Config{Cores: cores, Resilience: pc.res})
 			var inflight, peak atomic.Int64
-			_, st, err := c.runTiles(nil, n, c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+			_, st, err := c.runTiles(nil, nil, n, c1, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
 				now := inflight.Add(1)
 				for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
 				}
@@ -58,10 +58,8 @@ func TestPoolBoundAndPlacement(t *testing.T) {
 
 // TestCoreReuseSafeForEveryKernel: a worker reuses its host core across
 // clean attempts, so no plan may read scratch-pad bytes it did not write
-// in the same run. Every kernel runs on a fresh core and on cores whose
-// local buffers were first filled with 0xA5 — once on the flattened
-// replay path and once with an OnInstr hook armed, which forces the
-// interpreter, as a faulted attempt does — and must produce
+// in the same run. Every kernel runs on a fresh core and on a core whose
+// local buffers were first filled with 0xA5, and must produce
 // byte-identical outputs and identical stats.
 func TestCoreReuseSafeForEveryKernel(t *testing.T) {
 	p, _ := chaosLayer()
@@ -76,29 +74,24 @@ func TestCoreReuseSafeForEveryKernel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, interpreted := range []bool{false, true} {
-				dirty := aicore.New(buffer.Config{}, nil)
-				for _, b := range []isa.BufID{isa.L1, isa.UB, isa.L0A, isa.L0B, isa.L0C} {
-					mem := dirty.Mem.Mem(b)
-					for i := range mem {
-						mem[i] = 0xA5
-					}
+			dirty := aicore.New(buffer.Config{}, nil)
+			for _, b := range []isa.BufID{isa.L1, isa.UB, isa.L0A, isa.L0B, isa.L0C} {
+				mem := dirty.Mem.Mem(b)
+				for i := range mem {
+					mem[i] = 0xA5
 				}
-				if interpreted {
-					dirty.OnInstr = func(int, isa.Instr) error { return nil }
+			}
+			got, st, err := pl.Run(dirty, inputs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if !bytes.Equal(got[i].Data, want[i].Data) {
+					t.Errorf("output %d differs on a dirty core", i)
 				}
-				got, st, err := pl.Run(dirty, inputs...)
-				if err != nil {
-					t.Fatalf("interpreted=%v: %v", interpreted, err)
-				}
-				for i := range want {
-					if !bytes.Equal(got[i].Data, want[i].Data) {
-						t.Errorf("interpreted=%v: output %d differs on a dirty core", interpreted, i)
-					}
-				}
-				if *st != *wantSt {
-					t.Errorf("interpreted=%v: stats %+v on a dirty core, want %+v", interpreted, st, wantSt)
-				}
+			}
+			if *st != *wantSt {
+				t.Errorf("stats %+v on a dirty core, want %+v", st, wantSt)
 			}
 		})
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"davinci/internal/aicore"
+	"davinci/internal/cce"
 	"davinci/internal/faults"
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
@@ -258,6 +259,42 @@ func TestDegradationReport(t *testing.T) {
 	}
 }
 
+// TestFaultDroppedFlagNothingToDrop: a program on one pipe has no
+// cross-pipe dependency, so its AutoSync form has no set_flag to drop. A
+// dropped-flag decision then fires nothing: the attempt runs clean,
+// returns the clean run's bytes and Stats, and no fault is counted.
+func TestFaultDroppedFlagNothingToDrop(t *testing.T) {
+	prog := cce.New("vector-only")
+	prog.EmitVec(isa.VDup, isa.Contig(isa.UB, 0), isa.Operand{}, isa.Operand{}, fp16.One, isa.FullMask(), 2)
+	prog.EmitVec(isa.VAdds, isa.Contig(isa.UB, 512), isa.Contig(isa.UB, 0), isa.Operand{}, fp16.One, isa.FullMask(), 2)
+	run := func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+		st, err := core.Run(prog)
+		if err != nil {
+			return nil, nil, err
+		}
+		return []*tensor.Tensor{core.Mem.ReadTensor(isa.UB, 512, 256)}, st, nil
+	}
+	clean, _, err := New(Config{Cores: 1}).runTiles(nil, prog, 1, 1, run, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faults.New(faults.Config{Seed: 1, Rate: 1, Kinds: []faults.Kind{faults.KindDroppedFlag}, MaxPerTile: 1 << 30}, nil)
+	c := New(Config{Cores: 1, Resilience: Resilience{Enabled: true, Injector: inj, MaxAttempts: 1}})
+	got, st, err := c.runTiles(nil, prog, 1, 1, run, nil)
+	if err != nil {
+		t.Fatalf("dropped flag with nothing to drop failed the run: %v", err)
+	}
+	if !bytes.Equal(got[0][0].outs[0].Data, clean[0][0].outs[0].Data) || *got[0][0].stats != *clean[0][0].stats {
+		t.Errorf("attempt returned %v, want the clean run's bytes and stats %v", got[0][0].stats, clean[0][0].stats)
+	}
+	if n := inj.Injected(faults.KindDroppedFlag); n != 0 {
+		t.Errorf("faults_injected{droppedflag} = %d, want 0", n)
+	}
+	if v, _ := st.Metrics.CounterValue("chip_tile_retries"); v != 0 {
+		t.Errorf("chip_tile_retries = %d, want 0", v)
+	}
+}
+
 // TestPanicRecovery drives runTiles directly with a closure that panics
 // on the first attempt of one tile: the panic must become a typed,
 // retryable error (satellite: recover worker panics), and the retry must
@@ -267,7 +304,7 @@ func TestPanicRecovery(t *testing.T) {
 		Enabled: true, Watchdog: time.Second, CoreFailLimit: 1 << 30,
 	}})
 	var panicked atomic.Bool
-	results, st, err := c.runTiles(nil, 2, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+	results, st, err := c.runTiles(nil, nil, 2, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
 		if ni == 0 && ci == 1 && panicked.CompareAndSwap(false, true) {
 			panic("tile worker exploded")
 		}
@@ -294,7 +331,7 @@ func TestPanicExhaustion(t *testing.T) {
 	c := New(Config{Cores: 2, Resilience: Resilience{
 		Enabled: true, MaxAttempts: 2, Watchdog: time.Second, CoreFailLimit: 1 << 30,
 	}})
-	_, _, err := c.runTiles(nil, 1, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+	_, _, err := c.runTiles(nil, nil, 1, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
 		if ci == 0 {
 			panic("always broken")
 		}
@@ -322,7 +359,7 @@ func TestFailFastCancelsInFlight(t *testing.T) {
 	c := New(Config{Cores: 2, Context: context.Background()})
 	boom := errors.New("deterministic tile bug")
 	var ran atomic.Int32
-	_, _, err := c.runTiles(nil, 2, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+	_, _, err := c.runTiles(nil, nil, 2, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
 		ran.Add(1)
 		if ni == 0 && ci == 0 {
 			return nil, nil, boom

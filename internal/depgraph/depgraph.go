@@ -10,7 +10,8 @@
 //
 //   - Replay symbolically replays aicore.RunExplicit's issue discipline
 //     (per-pipe in-order queues, counting tokens for set_flag/wait_flag,
-//     barriers that wait for everything before them) and records, per
+//     barriers that wait for everything before them and hold back
+//     everything after them) and records, per
 //     instruction, the vector clock of completions guaranteed before it
 //     starts. CrossPipeDeps lists the dependencies that clock must order —
 //     the latest conflicting cross-pipe access per producing pipe, exactly
@@ -79,9 +80,10 @@ func (s *Schedule) Ordered(consumer, producer int) bool {
 
 // Replay symbolically replays prog's explicit issue discipline: per-pipe
 // in-order queues, counting tokens for set_flag/wait_flag, and barriers
-// that wait for everything before them. If the schedule cannot complete
-// (a wait with no token), the returned Schedule lists the blocked heads
-// in Deadlocked.
+// that wait for everything before them; nothing starts while a barrier
+// before it in program order is still pending, as in
+// aicore.Core.TimeExplicit. If the schedule cannot complete (a wait with
+// no token), the returned Schedule lists the blocked heads in Deadlocked.
 func Replay(prog *cce.Program) *Schedule {
 	n := len(prog.Instrs)
 	type item struct {
@@ -89,6 +91,7 @@ func Replay(prog *cce.Program) *Schedule {
 		in  isa.Instr
 	}
 	var pipes [isa.NumPipes][]item
+	var barriers []int // barrier indices, in program (= placement) order
 	s := &Schedule{
 		StartClock: make([]PipeVec, n),
 		Pos:        make([]int, n),
@@ -99,6 +102,9 @@ func Replay(prog *cce.Program) *Schedule {
 		s.PipeOf[idx] = p
 		s.Pos[idx] = len(pipes[p])
 		pipes[p] = append(pipes[p], item{idx, in})
+		if _, ok := in.(*isa.BarrierInstr); ok {
+			barriers = append(barriers, idx)
+		}
 	}
 	// before[i][p] counts instructions on pipe p with program index < i:
 	// the completions a barrier at index i waits for.
@@ -111,14 +117,16 @@ func Replay(prog *cce.Program) *Schedule {
 	var heads [isa.NumPipes]int
 	var pipeClock [isa.NumPipes]PipeVec
 	tokens := map[flagChannel][]PipeVec{}
-	completed := make([]bool, n)
-	completedCount, firstIncomplete := 0, 0
+	completed := 0
 
-	for completedCount < n {
+	for completed < n {
 		progress := false
 		for p := isa.Pipe(0); p < isa.NumPipes; p++ {
 			for heads[p] < len(pipes[p]) {
 				it := pipes[p][heads[p]]
+				if len(barriers) > 0 && it.idx > barriers[0] {
+					goto nextPipe // behind a barrier still pending
+				}
 				clk := pipeClock[p]
 				switch v := it.in.(type) {
 				case *isa.WaitFlagInstr:
@@ -130,11 +138,10 @@ func Replay(prog *cce.Program) *Schedule {
 					clk = clk.Join(q[0])
 					tokens[k] = q[1:]
 				case *isa.BarrierInstr:
-					for firstIncomplete < n && completed[firstIncomplete] {
-						firstIncomplete++
-					}
-					if firstIncomplete < it.idx {
-						goto nextPipe // an earlier instruction is still pending
+					// None later has started, so the count says whether an
+					// earlier instruction is still pending.
+					if completed < it.idx {
+						goto nextPipe
 					}
 					clk = clk.Join(before[it.idx])
 				}
@@ -153,10 +160,10 @@ func Replay(prog *cce.Program) *Schedule {
 					for q := range pipeClock {
 						pipeClock[q] = pipeClock[q].Join(end)
 					}
+					barriers = barriers[1:]
 				}
 				pipeClock[p] = end
-				completed[it.idx] = true
-				completedCount++
+				completed++
 				heads[p]++
 				progress = true
 			}

@@ -65,14 +65,32 @@ func TestReplayOrdering(t *testing.T) {
 		{4, 3, false}, // nothing orders the store after the vadd
 		{6, 0, true},  // same-pipe issue is in order
 		{7, 6, false}, // nothing orders the second load before the vmax
-		// Ordering across the barrier (e.g. 6 after 4) is not the replay's
-		// contract: CrossPipeDeps cuts its scan at barriers, so no client
-		// ever queries a producer/consumer pair a barrier separates.
+		// The barrier orders every pair it separates, even where a pipe
+		// (MTE2, for 6) reaches its next instruction before the barrier
+		// is placed. CrossPipeDeps cuts its scan at barriers, so clients
+		// never need these pairs; the replay still agrees with
+		// aicore.Core.TimeExplicit on them, and so on deadlocks.
+		{6, 4, true},
+		{7, 4, true},
 	}
 	for _, c := range cases {
 		if got := s.Ordered(c.consumer, c.producer); got != c.want {
 			t.Errorf("Ordered(%d, %d) = %v, want %v", c.consumer, c.producer, got, c.want)
 		}
+	}
+}
+
+// TestReplayBarrierHoldsLaterInstrs: a load, a barrier, then a vadds
+// reading the loaded bytes on another pipe. Only the barrier orders the
+// pair, and the replay orders it.
+func TestReplayBarrierHoldsLaterInstrs(t *testing.T) {
+	p := cce.New("barrier")
+	p.EmitCopy(isa.GM, 0, isa.UB, 0, 4096)
+	p.EmitBarrier()
+	p.EmitVec(isa.VAdds, isa.Contig(isa.UB, 8192), isa.Contig(isa.UB, 0), isa.Operand{}, 0, isa.FullMask(), 2)
+	s := depgraph.Replay(p)
+	if len(s.Deadlocked) != 0 || !s.Ordered(2, 0) {
+		t.Errorf("vadds not ordered after the copy across the barrier (deadlocked %v)", s.Deadlocked)
 	}
 }
 

@@ -1,21 +1,24 @@
 // Package faults is a deterministic, seeded fault-injection framework for
 // the simulated chip: a chaos harness. An Injector decides, purely from
-// (seed, tile, attempt), whether a tile attempt is perturbed and how, then
-// arms the attempt's aicore.Core with hooks that realize the fault:
+// (seed, tile, attempt), whether a tile attempt is perturbed and how;
+// the chip's tile executor then hands the decision to Fire in place of
+// the attempt's run, which carries the fault out without executing an
+// instruction:
 //
-//   - Transient: the run aborts at a chosen instruction with a detected
+//   - Transient: the attempt fails at a chosen instruction with a detected
 //     transient fault (a soft error caught by a consistency check).
-//   - BitFlip: one bit of the Unified Buffer is flipped mid-run and the
-//     run aborts with an ECC error — the corruption is really present in
-//     the scratch-pad, so a resilience layer that failed to retry on a
-//     pristine core would propagate it.
-//   - StuckPipe: one pipeline stops retiring; the run blocks until the
-//     core's Cancel channel fires (a real hang, reclaimed by a watchdog).
-//   - DroppedFlag: the cached program is re-synchronized with explicit
+//   - BitFlip: one bit of the Unified Buffer is flipped and the attempt
+//     fails at a chosen instruction with an ECC error — the corruption is
+//     really present in the scratch-pad, so a resilience layer that failed
+//     to retry on a pristine core would propagate it.
+//   - StuckPipe: the chosen instruction's pipeline stops retiring; the
+//     attempt blocks until the core's Cancel channel fires (a real hang,
+//     reclaimed by a watchdog).
+//   - DroppedFlag: the program is re-synchronized with explicit
 //     set_flag/wait_flag tokens (cce.AutoSync), one set_flag is dropped,
-//     and the result runs under explicit semantics — the starved
-//     wait_flag spins forever, again a real hang, whose diagnosis names
-//     the blocked pipe and the unsatisfied flag (aicore.DeadlockError).
+//     and the result is timed under explicit semantics — the starved
+//     wait_flag deadlocks, again a hang, whose diagnosis names the blocked
+//     pipe and the unsatisfied flag (aicore.DeadlockError).
 //
 // Decisions are pure functions of the configuration, so the fault schedule
 // is identical across runs and independent of goroutine scheduling: chaos
@@ -26,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"davinci/internal/aicore"
 	"davinci/internal/cce"
@@ -112,12 +114,12 @@ type Tile struct{ N, C1 int }
 type Fault struct {
 	// Kind selects the perturbation; KindNone runs clean.
 	Kind Kind
-	// r is the entropy the armed hooks derive fault parameters from
-	// (target instruction, flipped bit, dropped flag).
+	// r is the entropy Fire derives fault parameters from (target
+	// instruction, flipped bit, dropped flag).
 	r uint64
 }
 
-// Injector decides and arms faults. Safe for concurrent use: decisions
+// Injector decides and fires faults. Safe for concurrent use: decisions
 // are pure and the counters are atomic.
 type Injector struct {
 	cfg      Config
@@ -194,111 +196,85 @@ func (inj *Injector) Decide(t Tile, attempt int) Fault {
 	return Fault{Kind: inj.kinds[h2%uint64(len(inj.kinds))], r: splitmix64(h2)}
 }
 
-// armedOnProgram holds, per core armed with an instruction fault, the
-// OnProgram hook the fault's wrapper replaced, so Disarm can restore it.
-var armedOnProgram sync.Map // *aicore.Core -> func(*cce.Program)
-
-// Disarm removes any fault hooks from core, restoring the OnProgram hook
-// it had before Arm.
-func Disarm(core *aicore.Core) {
-	core.OnInstr = nil
-	core.ReplayWith = nil
-	core.HangOnDeadlock = false
-	if prev, ok := armedOnProgram.LoadAndDelete(core); ok {
-		core.OnProgram = prev.(func(*cce.Program))
-	}
-}
-
-// Arm installs f's hooks on core for the next single program run,
-// replacing any armed earlier; KindNone only disarms. The injected-fault
-// counters increment when a fault actually fires (a DroppedFlag against a
-// program with no cross-pipe dependencies, for instance, has nothing to
-// drop and runs clean).
-func (inj *Injector) Arm(core *aicore.Core, f Fault) {
-	Disarm(core)
+// Fire carries out fault f, decided for an attempt to run prog on core,
+// in place of that run: no instruction executes. It returns the attempt's
+// error, or nil when f has nothing to act on (KindNone, or a DroppedFlag
+// in a program whose AutoSync form has no set_flag) and the attempt runs
+// clean; faults_injected counts every fault that fires. The instruction
+// kinds target instruction r mod len(prog) and name it as a failed run
+// does. A stuck pipe first records on a traced core the schedule before
+// the target, a dropped flag the explicit schedule up to its deadlock;
+// both then block until core.Cancel closes (when set).
+func (inj *Injector) Fire(core *aicore.Core, prog *cce.Program, f Fault) error {
 	switch f.Kind {
 	case KindNone:
-	case KindTransient, KindBitFlip, KindStuckPipe:
-		inj.armInstrFault(core, f)
+		return nil
 	case KindDroppedFlag:
-		inj.armDroppedFlag(core, f)
+		return inj.dropFlag(core, prog, f)
+	}
+	n := len(prog.Instrs)
+	if n == 0 {
+		return nil
+	}
+	target := int(f.r % uint64(n))
+	at := func(err error) error {
+		return fmt.Errorf("aicore: %s instr %d (%s): %w", prog.Name, target, prog.Instrs[target], err)
+	}
+	switch f.Kind {
+	case KindBitFlip:
+		mem := core.Mem.Mem(isa.UB)
+		off := int((f.r >> 17) % uint64(len(mem)))
+		bit := uint(f.r>>3) & 7
+		mem[off] ^= 1 << bit
+		inj.count(KindBitFlip)
+		return at(&ECCError{Buf: isa.UB, Offset: off, Bit: int(bit)})
+	case KindStuckPipe:
+		core.TraceUpTo(prog, target)
+		inj.count(KindStuckPipe)
+		hang(core)
+		return at(&StuckPipeError{Pipe: prog.Instrs[target].Pipe(), Instr: target})
+	default:
+		inj.count(KindTransient)
+		return at(&TransientError{Instr: target})
 	}
 }
 
-// armInstrFault realizes the instruction-targeted kinds through OnInstr.
-// The target index is derived from the program length the moment the
-// program is observed, so every program fires exactly once.
-func (inj *Injector) armInstrFault(core *aicore.Core, f Fault) {
-	target := -1
-	var pipe isa.Pipe
-	fired := false
-	prevOnProgram := core.OnProgram
-	armedOnProgram.Store(core, prevOnProgram)
-	core.OnProgram = func(p *cce.Program) {
-		if prevOnProgram != nil {
-			prevOnProgram(p)
-		}
-		if target < 0 && len(p.Instrs) > 0 {
-			target = int(f.r % uint64(len(p.Instrs)))
-			pipe = p.Instrs[target].Pipe()
+// dropFlag realizes the dropped-set_flag kind: prog is explicitly
+// synchronized and one set_flag is removed. AutoSync pairs every set_flag
+// with one wait_flag, so the mutilated program's explicit schedule
+// deadlocks on the starved wait, which hangs until the core is cancelled.
+func (inj *Injector) dropFlag(core *aicore.Core, prog *cce.Program, f Fault) error {
+	synced := cce.AutoSync(prog)
+	var sets []int
+	for i, in := range synced.Instrs {
+		if _, ok := in.(*isa.SetFlagInstr); ok {
+			sets = append(sets, i)
 		}
 	}
-	core.OnInstr = func(idx int, in isa.Instr) error {
-		if fired || idx != target {
-			return nil
-		}
-		fired = true
-		switch f.Kind {
-		case KindBitFlip:
-			mem := core.Mem.Mem(isa.UB)
-			off := int((f.r >> 17) % uint64(len(mem)))
-			bit := uint(f.r>>3) & 7
-			mem[off] ^= 1 << bit
-			inj.count(KindBitFlip)
-			return &ECCError{Buf: isa.UB, Offset: off, Bit: int(bit)}
-		case KindStuckPipe:
-			inj.count(KindStuckPipe)
-			if core.Cancel != nil {
-				// The pipe stops retiring: a real hang, held until the
-				// watchdog (or a run-wide abort) reclaims the core.
-				<-core.Cancel
-			}
-			return &StuckPipeError{Pipe: pipe, Instr: idx}
-		default:
-			inj.count(KindTransient)
-			return &TransientError{Instr: idx}
+	if len(sets) == 0 {
+		return nil // single-pipe program: nothing to drop, run clean
+	}
+	drop := sets[int(f.r%uint64(len(sets)))]
+	mut := cce.New(synced.Name + "-dropflag")
+	for i, in := range synced.Instrs {
+		if i != drop {
+			mut.Emit(in)
 		}
 	}
+	inj.count(KindDroppedFlag)
+	_, err := core.TimeExplicit(mut)
+	var dl *aicore.DeadlockError
+	if errors.As(err, &dl) {
+		hang(core)
+	}
+	return err
 }
 
-// armDroppedFlag realizes the dropped-set_flag kind through ReplayWith:
-// the cached program is explicitly synchronized, one set_flag is removed,
-// and the mutilated program runs under explicit semantics, hanging on the
-// starved wait until the core is cancelled.
-func (inj *Injector) armDroppedFlag(core *aicore.Core, f Fault) {
-	core.ReplayWith = func(prog *cce.Program) (*aicore.Stats, error) {
-		synced := cce.AutoSync(prog)
-		var sets []int
-		for i, in := range synced.Instrs {
-			if _, ok := in.(*isa.SetFlagInstr); ok {
-				sets = append(sets, i)
-			}
-		}
-		if len(sets) == 0 {
-			// Single-pipe program: nothing to drop, run clean.
-			return core.Replay(prog)
-		}
-		drop := sets[int(f.r%uint64(len(sets)))]
-		mut := cce.New(synced.Name + "-dropflag")
-		for i, in := range synced.Instrs {
-			if i != drop {
-				mut.Emit(in)
-			}
-		}
-		inj.count(KindDroppedFlag)
-		core.HangOnDeadlock = true
-		defer func() { core.HangOnDeadlock = false }()
-		return core.RunExplicit(mut)
+// hang blocks, as a core spinning on a wedged pipe or a starved wait_flag
+// would, until the watchdog or a run-wide abort closes core.Cancel.
+func hang(core *aicore.Core) {
+	if core.Cancel != nil {
+		<-core.Cancel
 	}
 }
 

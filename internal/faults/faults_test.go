@@ -1,7 +1,11 @@
 package faults
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,105 +95,136 @@ func addProgram(t *testing.T, core *aicore.Core, n int) (*cce.Program, int) {
 	return p, gmOut
 }
 
-func TestArmTransient(t *testing.T) {
-	r := obs.NewRegistry()
-	inj := New(Config{Seed: 1, Rate: 1}, r)
+// fire runs Fire for f on a fresh core holding addProgram's program, in a
+// goroutine, and returns the core, the program and the channel Fire's
+// error arrives on. cancel, when non-nil, becomes the core's Cancel.
+func fire(t *testing.T, inj *Injector, f Fault, cancel chan struct{}) (*aicore.Core, *cce.Program, chan error) {
+	t.Helper()
 	core := aicore.New(buffer.Config{}, nil)
+	core.Trace = &aicore.Trace{}
+	if cancel != nil {
+		core.Cancel = cancel
+	}
 	p, _ := addProgram(t, core, 64)
-	inj.Arm(core, Fault{Kind: KindTransient, r: 12345})
-	_, err := core.Run(p)
+	done := make(chan error, 1)
+	go func() { done <- inj.Fire(core, p, f) }()
+	return core, p, done
+}
+
+// wait returns Fire's error, failing if it takes over a second.
+func wait(t *testing.T, done chan error) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Second):
+		t.Fatal("Fire never returned")
+		return nil
+	}
+}
+
+// TestFireTransient: a transient fault fails at instruction r mod
+// len(prog), named the way a failed run names it, counts once and
+// executes nothing.
+func TestFireTransient(t *testing.T) {
+	inj := New(Config{Seed: 1, Rate: 1}, obs.NewRegistry())
+	core, p, done := fire(t, inj, Fault{Kind: KindTransient, r: 12345}, nil)
+	err := wait(t, done)
+	target := 12345 % len(p.Instrs)
 	var te *TransientError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %v, want TransientError", err)
+	if !errors.As(err, &te) || te.Instr != target {
+		t.Fatalf("err = %v, want a TransientError at instr %d", err, target)
+	}
+	prefix := fmt.Sprintf("aicore: %s instr %d (%s): ", p.Name, target, p.Instrs[target])
+	if !strings.HasPrefix(err.Error(), prefix) {
+		t.Errorf("error %q does not start with %q", err, prefix)
 	}
 	if got := inj.Injected(KindTransient); got != 1 {
 		t.Fatalf("faults_injected{transient} = %d, want 1", got)
 	}
-	// Disarmed core runs clean again.
-	Disarm(core)
-	core.Mem.ResetLocal()
-	if _, err := core.Run(p); err != nil {
-		t.Fatalf("post-disarm run: %v", err)
+	for id := isa.BufID(0); id < isa.NumBufs; id++ {
+		if bytes.Count(core.Mem.Mem(id), []byte{0}) != len(core.Mem.Mem(id)) {
+			t.Errorf("%v written by a faulted attempt", id)
+		}
+	}
+	if len(core.Trace.Entries) != 0 {
+		t.Errorf("transient fault traced %d entries", len(core.Trace.Entries))
 	}
 }
 
-func TestArmBitFlipCorruptsUB(t *testing.T) {
+// TestFireBitFlipCorruptsUB: the reported bit is really flipped in the
+// core's Unified Buffer.
+func TestFireBitFlipCorruptsUB(t *testing.T) {
 	inj := New(Config{Seed: 2, Rate: 1}, obs.NewRegistry())
-	core := aicore.New(buffer.Config{}, nil)
-	p, _ := addProgram(t, core, 64)
-	inj.Arm(core, Fault{Kind: KindBitFlip, r: 99999})
-	_, err := core.Run(p)
+	core, _, done := fire(t, inj, Fault{Kind: KindBitFlip, r: 99999}, nil)
+	err := wait(t, done)
 	var ee *ECCError
 	if !errors.As(err, &ee) {
 		t.Fatalf("err = %v, want ECCError", err)
 	}
 	mem := core.Mem.Mem(isa.UB)
-	if ee.Offset < 0 || ee.Offset >= len(mem) {
-		t.Fatalf("flip offset %d out of UB range %d", ee.Offset, len(mem))
+	if ee.Buf != isa.UB || ee.Offset < 0 || ee.Offset >= len(mem) {
+		t.Fatalf("flip at %v byte %d, outside UB's %d bytes", ee.Buf, ee.Offset, len(mem))
 	}
-	if mem[ee.Offset]&(1<<ee.Bit) == 0 {
-		// UB starts zeroed and the flip targets a bit the program may not
-		// rewrite; the reported bit must really be visible in memory.
-		t.Fatalf("UB byte %d bit %d not flipped", ee.Offset, ee.Bit)
+	if mem[ee.Offset] != 1<<ee.Bit || bytes.Count(mem, []byte{0}) != len(mem)-1 {
+		t.Fatalf("UB byte %d holds %#x, want only bit %d flipped", ee.Offset, mem[ee.Offset], ee.Bit)
+	}
+	if got := inj.Injected(KindBitFlip); got != 1 {
+		t.Fatalf("faults_injected{bitflip} = %d, want 1", got)
 	}
 }
 
-func TestArmStuckPipeHangsUntilCancel(t *testing.T) {
+// TestFireStuckPipeHangsUntilCancel: a stuck pipe blocks until Cancel
+// closes, then names the wedged instruction and its pipe; the traced core
+// holds the schedule of the instructions before it, as a run of that
+// prefix records it.
+func TestFireStuckPipeHangsUntilCancel(t *testing.T) {
 	inj := New(Config{Seed: 3, Rate: 1}, obs.NewRegistry())
-	core := aicore.New(buffer.Config{}, nil)
-	p, _ := addProgram(t, core, 64)
 	cancel := make(chan struct{})
-	core.Cancel = cancel
-	inj.Arm(core, Fault{Kind: KindStuckPipe, r: 777})
-	done := make(chan error, 1)
-	go func() {
-		_, err := core.Run(p)
-		done <- err
-	}()
+	core, p, done := fire(t, inj, Fault{Kind: KindStuckPipe, r: 778}, cancel)
 	select {
 	case err := <-done:
-		t.Fatalf("stuck-pipe run returned early: %v", err)
+		t.Fatalf("stuck-pipe fault returned early: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(cancel)
-	select {
-	case err := <-done:
-		var se *StuckPipeError
-		if !errors.As(err, &se) {
-			t.Fatalf("err = %v, want StuckPipeError", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("cancelled stuck-pipe run never returned")
+	err := wait(t, done)
+	target := 778 % len(p.Instrs)
+	var se *StuckPipeError
+	if !errors.As(err, &se) || se.Instr != target || se.Pipe != p.Instrs[target].Pipe() {
+		t.Fatalf("err = %v, want a StuckPipeError at instr %d on %v", err, target, p.Instrs[target].Pipe())
+	}
+	if got := inj.Injected(KindStuckPipe); got != 1 {
+		t.Fatalf("faults_injected{stuckpipe} = %d, want 1", got)
+	}
+	prefix := cce.New(p.Name)
+	for _, in := range p.Instrs[:target] {
+		prefix.Emit(in)
+	}
+	ref := aicore.New(buffer.Config{}, nil)
+	ref.Trace = &aicore.Trace{}
+	if _, err := ref.Run(prefix); err != nil {
+		t.Fatal(err)
+	}
+	if target == 0 || !slices.Equal(core.Trace.Entries, ref.Trace.Entries) {
+		t.Errorf("trace %v, want the %d entries before instr %d: %v", core.Trace.Entries, target, target, ref.Trace.Entries)
 	}
 }
 
-func TestArmDroppedFlagDeadlocks(t *testing.T) {
+// TestFireDroppedFlagDeadlocks: a dropped set_flag starves its wait_flag;
+// Fire blocks until Cancel closes and returns the typed deadlock, with
+// the explicit schedule up to it on the core's trace.
+func TestFireDroppedFlagDeadlocks(t *testing.T) {
 	inj := New(Config{Seed: 4, Rate: 1}, obs.NewRegistry())
-	core := aicore.New(buffer.Config{}, nil)
-	p, _ := addProgram(t, core, 64)
 	cancel := make(chan struct{})
-	core.Cancel = cancel
-	inj.Arm(core, Fault{Kind: KindDroppedFlag, r: 5})
-	if core.ReplayWith == nil {
-		t.Fatal("DroppedFlag did not install ReplayWith")
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := core.ReplayWith(p)
-		done <- err
-	}()
+	core, _, done := fire(t, inj, Fault{Kind: KindDroppedFlag, r: 5}, cancel)
 	select {
 	case err := <-done:
-		t.Fatalf("dropped-flag run returned without cancel: %v", err)
+		t.Fatalf("dropped-flag fault returned without cancel: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(cancel) // the watchdog reclaims the hung core
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(time.Second):
-		t.Fatal("cancelled dropped-flag run never returned")
-	}
+	err := wait(t, done)
 	var dl *aicore.DeadlockError
 	if !errors.As(err, &dl) {
 		t.Fatalf("err = %v, want DeadlockError", err)
@@ -200,40 +235,35 @@ func TestArmDroppedFlagDeadlocks(t *testing.T) {
 	if got := inj.Injected(KindDroppedFlag); got != 1 {
 		t.Fatalf("faults_injected{droppedflag} = %d, want 1", got)
 	}
+	starved := func(e aicore.TraceEntry) bool { return e.Idx == dl.Instr }
+	if len(core.Trace.Entries) == 0 || slices.ContainsFunc(core.Trace.Entries, starved) {
+		t.Errorf("trace %v, want the schedule up to the starved wait at instr %d", core.Trace.Entries, dl.Instr)
+	}
 }
 
-// TestArmDisarmRestoresHooks: Disarm undoes Arm for every kind, including
-// the OnProgram wrapper of the instruction faults, so a reused core does
-// not chain one stale wrapper per armed attempt.
-func TestArmDisarmRestoresHooks(t *testing.T) {
-	inj := New(Config{Seed: 6, Rate: 1}, obs.NewRegistry())
-	for _, k := range append([]Kind{KindNone}, AllKinds()...) {
+// TestFireNothingToAct: KindNone, and a dropped flag in a single-pipe
+// program, whose AutoSync form has no set_flag, fire nothing: Fire
+// returns nil at once, counts nothing and leaves the core untouched.
+func TestFireNothingToAct(t *testing.T) {
+	inj := New(Config{Seed: 5, Rate: 1}, obs.NewRegistry())
+	single := cce.New("vector-only")
+	single.EmitVec(isa.VDup, isa.Contig(isa.UB, 0), isa.Operand{}, isa.Operand{}, fp16.One, isa.FullMask(), 1)
+	single.EmitVec(isa.VAdds, isa.Contig(isa.UB, 256), isa.Contig(isa.UB, 0), isa.Operand{}, fp16.One, isa.FullMask(), 1)
+	for _, f := range []Fault{{}, {Kind: KindDroppedFlag, r: 5}} {
 		core := aicore.New(buffer.Config{}, nil)
-		inj.Arm(core, Fault{Kind: k, r: 31})
-		Disarm(core)
-		if core.OnInstr != nil || core.ReplayWith != nil || core.OnProgram != nil || core.HangOnDeadlock {
-			t.Errorf("%v: hooks left after Disarm: OnInstr %v, ReplayWith %v, OnProgram %v, HangOnDeadlock %v",
-				k, core.OnInstr != nil, core.ReplayWith != nil, core.OnProgram != nil, core.HangOnDeadlock)
+		core.Trace = &aicore.Trace{}
+		core.Cancel = make(chan struct{}) // never closed: a hang would block the test
+		if err := inj.Fire(core, single, f); err != nil {
+			t.Errorf("%v: Fire = %v, want nil", f.Kind, err)
+		}
+		if len(core.Trace.Entries) != 0 {
+			t.Errorf("%v: %d trace entries recorded", f.Kind, len(core.Trace.Entries))
 		}
 	}
-
-	// A hook installed before Arm survives any number of arm/disarm rounds
-	// and is called exactly once per program, unwrapped.
-	core := aicore.New(buffer.Config{}, nil)
-	p, _ := addProgram(t, core, 64)
-	calls := 0
-	core.OnProgram = func(*cce.Program) { calls++ }
-	for round := 0; round < 3; round++ {
-		inj.Arm(core, Fault{Kind: KindTransient, r: 12345})
-		inj.Arm(core, Fault{Kind: KindStuckPipe, r: 777})
-		Disarm(core)
-	}
-	core.Mem.ResetLocal()
-	if _, err := core.Run(p); err != nil {
-		t.Fatalf("disarmed run: %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("pre-Arm OnProgram hook called %d times for one program, want 1", calls)
+	for _, k := range AllKinds() {
+		if got := inj.Injected(k); got != 0 {
+			t.Errorf("faults_injected{%v} = %d, want 0", k, got)
+		}
 	}
 }
 

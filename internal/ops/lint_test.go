@@ -9,16 +9,13 @@ package ops
 // broken on purpose.
 
 import (
-	"math/rand"
 	"testing"
 
-	"davinci/internal/aicore"
 	"davinci/internal/buffer"
 	"davinci/internal/cce"
 	"davinci/internal/isa"
 	"davinci/internal/lint"
-	"davinci/internal/ref"
-	"davinci/internal/tensor"
+	"davinci/internal/trace"
 	"davinci/internal/workloads"
 )
 
@@ -31,57 +28,39 @@ var lintGrid = []isa.ConvParams{
 	{Ih: 35, Iw: 35, Kh: 3, Kw: 3, Sh: 2, Sw: 2}, // InceptionV3 input 3
 }
 
-// captureCore returns a default core that records every program handed to
-// Run/RunExplicit, the same hook cmd/davinci-lint uses.
-func captureCore() (*aicore.Core, *[]*cce.Program) {
-	core := newTestCore()
-	progs := &[]*cce.Program{}
-	core.OnProgram = func(p *cce.Program) { *progs = append(*progs, p) }
-	return core, progs
+// planProg returns the program kernel compiles to for d under the
+// default spec: the instruction stream Plan.Run executes.
+func planProg(t *testing.T, kernel string, d Dims) *cce.Program {
+	t.Helper()
+	k, err := Lookup(kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := testPlans.Plan(trace.Ctx{}, k, Spec{}, d)
+	if err != nil {
+		t.Fatalf("%s %+v: %v", kernel, d.P, err)
+	}
+	return pl.Prog
 }
 
-// assertProgsClean lints every captured program in both modes and fails on
-// any diagnostic, warnings included.
-func assertProgsClean(t *testing.T, label string, progs []*cce.Program) {
+// assertProgClean lints prog in both modes and fails on any diagnostic,
+// warnings included.
+func assertProgClean(t *testing.T, label string, prog *cce.Program) {
 	t.Helper()
-	if len(progs) == 0 {
-		t.Fatalf("%s: no programs captured", label)
+	for _, d := range lint.CheckImplicit(prog) {
+		t.Errorf("%s: %s (implicit): %s", label, prog.Name, d)
 	}
-	for _, prog := range progs {
-		for _, d := range lint.CheckImplicit(prog) {
-			t.Errorf("%s: %s (implicit): %s", label, prog.Name, d)
-		}
-		for _, d := range lint.Check(cce.AutoSync(prog)) {
-			t.Errorf("%s: %s (explicit, autosync): %s", label, prog.Name, d)
-		}
+	for _, d := range lint.Check(cce.AutoSync(prog)) {
+		t.Errorf("%s: %s (explicit, autosync): %s", label, prog.Name, d)
 	}
 }
 
 func TestPoolingKernelsLintClean(t *testing.T) {
 	for _, p := range lintGrid {
-		in := randTile(int64(p.Ih*1000+p.Iw), p)
-		mask := ref.ArgmaxMask(in, p)
-		oh, ow := p.OutDims()
-		grad := tensor.New(1, 1, oh, ow, tensor.C0)
-		grad.FillRandom(rand.New(rand.NewSource(int64(p.Ih))), 4)
-
-		for _, fam := range []struct {
-			family string
-			inputs []*tensor.Tensor
-		}{
-			{"maxpool_fwd", []*tensor.Tensor{in}},
-			{"maxpool_fwd_argmax", []*tensor.Tensor{in}},
-			{"maxpool_bwd", []*tensor.Tensor{mask, grad}},
-			{"avgpool_fwd", []*tensor.Tensor{in}},
-			{"avgpool_bwd", []*tensor.Tensor{grad}},
-		} {
-			for _, v := range Modes(fam.family) {
-				kernel := fam.family + "/" + v
-				core, progs := captureCore()
-				if _, _, err := runKernel(core, kernel, p, fam.inputs...); err != nil {
-					t.Fatalf("%s %+v: %v", kernel, p, err)
-				}
-				assertProgsClean(t, kernel, *progs)
+		for _, family := range []string{"maxpool_fwd", "maxpool_fwd_argmax", "maxpool_bwd", "avgpool_fwd", "avgpool_bwd"} {
+			for _, v := range Modes(family) {
+				kernel := family + "/" + v
+				assertProgClean(t, kernel, planProg(t, kernel, Dims{P: p}))
 			}
 		}
 	}
@@ -89,99 +68,38 @@ func TestPoolingKernelsLintClean(t *testing.T) {
 
 func TestCubeKernelsLintClean(t *testing.T) {
 	p := isa.ConvParams{Ih: 10, Iw: 10, Kh: 3, Kw: 3, Sh: 2, Sw: 2, Pt: 1, Pb: 1, Pl: 1, Pr: 1}
-	c, co := 32, 20
-	rng := rand.New(rand.NewSource(42))
-	in := tensor.New(1, tensor.C1Of(c), p.Ih, p.Iw, tensor.C0)
-	in.FillRandom(rng, 1)
-	weights := tensor.New(co, c, p.Kh, p.Kw)
-	weights.FillRandom(rng, 1)
-	oh, ow := p.OutDims()
-	grad := tensor.New(1, tensor.C1Of(co), oh, ow, tensor.C0)
-	grad.FillRandom(rng, 1)
-
-	core, progs := captureCore()
-	if _, _, err := conv2D(core, in, weights, p); err != nil {
-		t.Fatalf("conv fwd: %v", err)
-	}
-	assertProgsClean(t, "conv/fwd", *progs)
-
-	core, progs = captureCore()
-	if _, _, err := conv2DBackwardData(core, grad, weights, p, c); err != nil {
-		t.Fatalf("conv bwd data: %v", err)
-	}
-	assertProgsClean(t, "conv/bwd-data", *progs)
-
-	core, progs = captureCore()
-	if _, _, err := conv2DBackwardWeights(core, grad, in, p, co, c); err != nil {
-		t.Fatalf("conv bwd weights: %v", err)
-	}
-	assertProgsClean(t, "conv/bwd-weights", *progs)
-
+	d := Dims{P: p, Co: 20, C: 32}
+	assertProgClean(t, "conv/fwd", planProg(t, "conv2d", d))
+	assertProgClean(t, "conv/bwd-data", planProg(t, "conv2d_bwd_data", d))
+	assertProgClean(t, "conv/bwd-weights", planProg(t, "conv2d_bwd_weights", d))
 	pool := isa.ConvParams{Ih: 20, Iw: 20, Kh: 2, Kw: 2, Sh: 2, Sw: 2}
-	core, progs = captureCore()
-	if _, _, err := runOne(core, "avgpool_fwd/cube", pool, randTile(3, pool)); err != nil {
-		t.Fatalf("avg cube: %v", err)
-	}
-	assertProgsClean(t, "avg/cube", *progs)
+	assertProgClean(t, "avg/cube", planProg(t, "avgpool_fwd/cube", Dims{P: pool}))
 }
 
-// TestWorkloadProgramsLintClean runs the Im2col-family kernels — whose
-// program sizes stay small at production shapes — over every Table I layer
-// and lints everything they emit.
+// TestWorkloadProgramsLintClean compiles the Im2col-family kernels —
+// whose program sizes stay small at production shapes — over every
+// Table I layer and lints their programs.
 func TestWorkloadProgramsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table-wide lint sweep")
 	}
 	for _, l := range workloads.TableI {
-		p := l.Params()
-		in := randTile(int64(l.H*10+l.W), p)
-		mask := ref.ArgmaxMask(in, p)
-		oh, ow := p.OutDims()
-		grad := tensor.New(1, 1, oh, ow, tensor.C0)
-		grad.FillRandom(rand.New(rand.NewSource(int64(l.H))), 4)
-
+		d := Dims{P: l.Params()}
 		label := l.Network + "/" + string(rune('0'+l.Index))
-
-		core, progs := captureCore()
-		if _, _, err := runOne(core, "maxpool_fwd/im2col", p, in); err != nil {
-			t.Fatalf("%s fwd: %v", label, err)
-		}
-		assertProgsClean(t, label+"/im2col", *progs)
-
-		core, progs = captureCore()
-		if _, _, err := runKernel(core, "maxpool_fwd_argmax/im2col", p, in); err != nil {
-			t.Fatalf("%s argmax: %v", label, err)
-		}
-		assertProgsClean(t, label+"/argmax-im2col", *progs)
-
-		core, progs = captureCore()
-		if _, _, err := runOne(core, "maxpool_bwd/col2im", p, mask, grad); err != nil {
-			t.Fatalf("%s bwd: %v", label, err)
-		}
-		assertProgsClean(t, label+"/col2im", *progs)
-
-		core, progs = captureCore()
-		if _, _, err := runOne(core, "avgpool_fwd/im2col", p, in); err != nil {
-			t.Fatalf("%s avg: %v", label, err)
-		}
-		assertProgsClean(t, label+"/avg-im2col", *progs)
+		assertProgClean(t, label+"/im2col", planProg(t, "maxpool_fwd/im2col", d))
+		assertProgClean(t, label+"/argmax-im2col", planProg(t, "maxpool_fwd_argmax/im2col", d))
+		assertProgClean(t, label+"/col2im", planProg(t, "maxpool_bwd/col2im", d))
+		assertProgClean(t, label+"/avg-im2col", planProg(t, "avgpool_fwd/im2col", d))
 	}
 }
 
-// capturedIm2colProgram returns one AutoSync'd program from the Im2col
+// capturedIm2colProgram returns the AutoSync'd program of the Im2col
 // forward kernel at the InceptionV3 input-3 shape: the seed for the
 // break-it acceptance tests below.
 func capturedIm2colProgram(t *testing.T) *cce.Program {
 	t.Helper()
 	p := isa.ConvParams{Ih: 35, Iw: 35, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
-	core, progs := captureCore()
-	if _, _, err := runOne(core, "maxpool_fwd/im2col", p, randTile(5, p)); err != nil {
-		t.Fatal(err)
-	}
-	if len(*progs) == 0 {
-		t.Fatal("no program captured")
-	}
-	return cce.AutoSync((*progs)[0])
+	return cce.AutoSync(planProg(t, "maxpool_fwd/im2col", Dims{P: p}))
 }
 
 // TestLintFlagsRemovedWait deletes the first wait_flag from a synced

@@ -147,7 +147,7 @@ type Plan struct {
 	// one walk, which is bounded and cannot fail, instead of repeating it.
 	timings sync.Map // timingKey -> func() *aicore.Stats (sync.OnceValue)
 	// flat returns the flattened functional trace of Prog, built on first
-	// use; every run no fault hook intercepts executes it.
+	// use; every run executes it.
 	flat func() *aicore.FlatProgram
 }
 
@@ -214,19 +214,10 @@ func (pl *Plan) Run(core *aicore.Core, inputs ...*tensor.Tensor) ([]*tensor.Tens
 // data effects are bit-identical to interpreting the program, and takes
 // its Stats from the data-free walk (aicore.Time), memoized per (cost
 // model, serialize) context; a traced core's trace is reset first and
-// refilled with the walk's entries, so each Run yields one timeline. Only
-// a fault hook makes a run interpret: ReplayWith substitutes its own
-// execution, and OnInstr observes the interpreter's instruction loop,
-// which the flat trace does not have.
+// refilled with the walk's entries, so each Run yields one timeline.
 func (pl *Plan) replay(core *aicore.Core) (*aicore.Stats, error) {
-	if core.ReplayWith != nil {
-		return core.ReplayWith(pl.Prog)
-	}
 	if core.Trace != nil {
 		core.Trace.Reset()
-	}
-	if core.OnInstr != nil {
-		return core.Replay(pl.Prog)
 	}
 	if err := core.ExecFlat(pl.flat()); err != nil {
 		return nil, err

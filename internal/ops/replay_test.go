@@ -23,8 +23,8 @@ func replayPlan(t *testing.T) (*Plan, []*tensor.Tensor) {
 
 // TestConcurrentFirstRuns: eight goroutines running a fresh plan at once
 // (run under -race) all flatten and time it through the plan's shared
-// memos, and return identical outputs and Stats, equal to an interpreted
-// run's.
+// memos, and return identical outputs and Stats, equal to those of a
+// later sequential run on a fresh core.
 func TestConcurrentFirstRuns(t *testing.T) {
 	pl, in := replayPlan(t)
 	const goroutines = 8
@@ -44,9 +44,7 @@ func TestConcurrentFirstRuns(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	interp := newTestCore()
-	interp.OnInstr = func(int, isa.Instr) error { return nil }
-	want, wantSt, err := pl.Run(interp, in...)
+	want, wantSt, err := pl.Run(newTestCore(), in...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +56,7 @@ func TestConcurrentFirstRuns(t *testing.T) {
 			t.Errorf("goroutine %d: stats %v, want %v", g, stats[g], wantSt)
 		}
 		if !bytes.Equal(outs[g][0].Data, want[0].Data) {
-			t.Errorf("goroutine %d: output differs from the interpreter's", g)
+			t.Errorf("goroutine %d: output differs from the sequential run's", g)
 		}
 	}
 }

@@ -128,7 +128,7 @@ type Result struct {
 	Rewrites []Rewrite
 	// BaselineInstrs/BaselineCycles describe the input program;
 	// Instrs/Cycles describe Prog. Cycles is the exact implicit-sync
-	// makespan (aicore.Time), identical to what Run/Replay reports.
+	// makespan (aicore.Time), identical to what Run reports.
 	BaselineInstrs int
 	Instrs         int
 	BaselineCycles int64

@@ -20,10 +20,11 @@ import (
 //     the same gate a strict core applies before running anything;
 //  2. the static critical-path upper bound (perf.Analyze) did not
 //     increase: the optimized program's worst case is no worse;
-//  3. the scheduled makespan (aicore.Time, the exact cycles Run/Replay
+//  3. the scheduled makespan (aicore.Time, the exact cycles Run
 //     reports) did not increase;
-//  4. both programs, executed functionally from identical deterministic
-//     buffer contents, leave bit-identical global memory. Global memory
+//  4. both programs, executed functionally (their flattened traces, the
+//     engine every plan runs on) from identical deterministic buffer
+//     contents, leave bit-identical global memory. Global memory
 //     is the only state a plan observes after a run (locals are scratch
 //     and legitimately diverge once dead writes are gone), so GM
 //     equality on a full-entropy input is the behavioral contract.
@@ -59,8 +60,8 @@ func Validate(base, optimized *cce.Program, opts Options) string {
 	return equivalent(base, optimized, opts)
 }
 
-// equivalent replays base and optimized on two identically seeded cores
-// and compares global memory byte for byte.
+// equivalent executes the flattened traces of base and optimized on two
+// identically seeded cores and compares global memory byte for byte.
 func equivalent(base, optimized *cce.Program, opts Options) string {
 	var foot [isa.NumBufs]int
 	grow := func(prog *cce.Program) {
@@ -101,10 +102,10 @@ func equivalent(base, optimized *cce.Program, opts Options) string {
 			fillDeterministic(sp.Data(), 0x9e3779b9_0000_0000+uint64(id))
 		}
 	}
-	if err := coreA.ExecOnly(base); err != nil {
+	if err := coreA.ExecFlat(aicore.Flatten(base)); err != nil {
 		return fmt.Sprintf("baseline replay failed: %v", err)
 	}
-	if err := coreB.ExecOnly(optimized); err != nil {
+	if err := coreB.ExecFlat(aicore.Flatten(optimized)); err != nil {
 		return fmt.Sprintf("optimized replay failed: %v", err)
 	}
 	a := coreA.Mem.Space(isa.GM).Data()
