@@ -55,12 +55,11 @@ func main() {
 	optLevel := flag.Int("opt", 0, "static optimizer level for compiled plans (0=off, 1=rewrites, 2=+rescheduling)")
 	csv := flag.Bool("csv", false, "emit comma-separated values instead of aligned tables")
 	metrics := flag.String("metrics", "", "write a JSON metrics snapshot (cells, chip and plan-cache counters) to this file; - for stdout")
-	chaos := flag.Bool("chaos", false, "inject seeded faults and run every experiment with the tile executor's retries and watchdog enabled")
+	chaos := flag.Bool("chaos", false, "inject seeded faults and run every experiment with the tile executor's retries enabled")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-schedule seed (same seed = same faults, any goroutine schedule)")
 	chaosRate := flag.Float64("chaos-rate", 0.05, "per-(tile,attempt) fault probability")
 	chaosKinds := flag.String("chaos-kinds", "transient,bitflip,droppedflag,stuckpipe", "comma-separated fault kinds to draw from")
 	chaosAttempts := flag.Int("chaos-attempts", 3, "attempts per tile before giving up (retry on a fresh core, requeue elsewhere)")
-	chaosWatchdog := flag.Duration("chaos-watchdog", time.Second, "wall-clock budget per tile attempt before the watchdog reclaims the core")
 	chaosDegrade := flag.Bool("chaos-degrade", false, "fall back to the host golden model for tiles that exhaust their retries")
 	spans := flag.String("spans", "", "write the run's trace spans as JSONL to this file; - for stdout")
 	serve := flag.String("serve", "", "serve live telemetry (Prometheus /metrics, /debug/spans) on this address until the experiments finish, then keep serving until interrupted")
@@ -109,7 +108,6 @@ func main() {
 				Kinds: kinds,
 			}, opts.Metrics),
 			MaxAttempts: *chaosAttempts,
-			Watchdog:    *chaosWatchdog,
 			Degrade:     *chaosDegrade,
 		}
 	}
@@ -239,7 +237,7 @@ func printChaosSummary(w *os.File, s *obs.Snapshot) {
 	for _, c := range []struct{ name, what string }{
 		{"chip_tile_retries", "tile retries"},
 		{"chip_tile_requeues", "tile requeues onto other cores"},
-		{"chip_watchdog_trips", "watchdog trips (hung attempts reclaimed)"},
+		{"chip_tile_hangs", "tile hangs (stuck pipes, starved wait_flags)"},
 		{"chip_cores_failed", "cores excluded after repeated failures"},
 		{"chip_tile_panics", "worker panics recovered"},
 		{"chip_tiles_degraded", "tiles degraded to the host golden model"},

@@ -70,7 +70,6 @@ func main() {
 	chaosKinds := flag.String("chaos-kinds", "transient,bitflip,droppedflag,stuckpipe", "comma-separated fault kinds")
 	chaosAttempts := flag.Int("chaos-attempts", 2, "chip-level attempts per tile before the failure escalates to the serving layer")
 	chaosMaxPerTile := flag.Int("chaos-maxpertile", 3, "faults charged per tile before its schedule runs clean")
-	chaosWatchdog := flag.Duration("chaos-watchdog", 300*time.Millisecond, "wall-clock budget per tile attempt")
 
 	metrics := flag.String("metrics", "", "write a JSON metrics snapshot to this file; - for stdout")
 	spans := flag.String("spans", "", "write the run's trace spans as JSONL to this file; - for stdout")
@@ -128,7 +127,6 @@ func main() {
 				MaxPerTile: *chaosMaxPerTile,
 			}, reg),
 			MaxAttempts: *chaosAttempts,
-			Watchdog:    *chaosWatchdog,
 		}
 	}
 

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"time"
 
 	"davinci/internal/aicore"
 	"davinci/internal/buffer"
@@ -203,17 +202,19 @@ func runChipTraced(o chipOptions) error {
 			Injector: faults.New(faults.Config{
 				Seed: o.chaosSeed,
 				Rate: o.chaosRate,
-				// Transient faults and bitflips fail deterministically per
-				// attempt; the hang kinds would spend wall-clock watchdog
-				// time for the same causal shape.
+				// Transient faults and bitflips fail an attempt at once. A
+				// dropped flag re-times the program under AutoSync and the
+				// explicit walk; AutoSync is quadratic, about 1.4 s per
+				// fault on a 147x147 maxpool_fwd/standard tile (16k
+				// instructions, 2 vCPUs), for the same causal shape in the
+				// trace.
 				Kinds: []faults.Kind{faults.KindTransient, faults.KindBitFlip},
 				// Let every attempt fault, so a high -chaos-rate can
 				// exhaust the retry budget and the trace shows degrade
 				// spans (the default caps faults to the first attempt).
 				MaxPerTile: 3,
 			}, nil),
-			Degrade:  o.chaosDegrade,
-			Watchdog: 10 * time.Second,
+			Degrade: o.chaosDegrade,
 		}
 	}
 	dev := chip.New(cfg)

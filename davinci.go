@@ -58,8 +58,9 @@ type (
 	// compiled, cache hits and misses. Available per run via Stats.Plans
 	// and cumulatively via Device.PlanStats.
 	PlanCacheStats = ops.CacheStats
-	// Resilience configures the tile executor's fault tolerance (watchdog,
-	// retry/requeue, graceful degradation) via ChipConfig.Resilience.
+	// Resilience configures the tile executor's fault tolerance (typed
+	// hangs, retry/requeue, graceful degradation) via
+	// ChipConfig.Resilience.
 	Resilience = chip.Resilience
 	// DegradedTile reports one tile computed by the host-side golden
 	// model after its hardware retries were exhausted (Stats.Degraded).
@@ -74,7 +75,7 @@ type (
 	// FaultKind classifies one injected fault (transient, bitflip,
 	// droppedflag, stuckpipe).
 	FaultKind = faults.Kind
-	// FaultInjector decides and arms seeded faults; pass one through
+	// FaultInjector decides and fires seeded faults; pass one through
 	// Resilience.Injector.
 	FaultInjector = faults.Injector
 )
@@ -84,7 +85,8 @@ type (
 var (
 	// ErrTileFault: an attempt failed with a detected hardware fault.
 	ErrTileFault = chip.ErrTileFault
-	// ErrTileHang: an attempt hung and the watchdog reclaimed the core.
+	// ErrTileHang: an attempt could make no progress (a stuck pipe or a
+	// starved wait_flag); it fails as soon as the hang is known.
 	ErrTileHang = chip.ErrTileHang
 	// ErrTilePanic: a tile worker panicked and was recovered.
 	ErrTilePanic = chip.ErrTilePanic

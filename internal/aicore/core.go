@@ -18,7 +18,7 @@ import (
 
 // ErrInterrupted is returned (wrapped with the program position) when a
 // run is abandoned because the core's Cancel channel closed — a chip-level
-// abort after another core failed, or a watchdog reclaiming a hung tile.
+// abort after another core failed, or the caller cancelling the run.
 var ErrInterrupted = errors.New("interrupted")
 
 // Core is one AI Core: a memory system plus a timing configuration.
@@ -38,9 +38,9 @@ type Core struct {
 	Strict bool
 	// Cancel, when non-nil, cooperatively interrupts execution: every
 	// instruction loop polls it and returns ErrInterrupted once it is
-	// closed. The chip layer points it at a per-attempt context so a
-	// run-wide abort or a per-tile watchdog can reclaim a core that is
-	// mid-program, or one an injected hang holds (internal/faults).
+	// closed. The chip layer points it at the run's context, so a
+	// fail-fast abort or the caller's cancellation stops a core that is
+	// mid-program.
 	Cancel <-chan struct{}
 }
 

@@ -181,8 +181,8 @@ func (c *Core) TimeExplicit(prog *cce.Program) (*Stats, error) {
 // DeadlockError reports that an explicitly synchronized program can make
 // no progress: some pipe's next instruction is a wait_flag whose set_flag
 // never arrives (e.g. because a fault dropped it). It names the blocked
-// pipe and the unsatisfied flag so a watchdog trip is diagnosable instead
-// of a silent hang.
+// pipe and the unsatisfied flag, so the hang is typed and diagnosable the
+// moment it is found instead of a silent stall.
 type DeadlockError struct {
 	// Program is the deadlocked program's name.
 	Program string

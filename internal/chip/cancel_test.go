@@ -41,13 +41,14 @@ func cancelAfterSpans(tr *trace.Tracer, k int, cancel context.CancelFunc) (stop 
 }
 
 // policies covers the two default sets the executor resolves: the zero
-// Resilience (one attempt, no watchdog) and Enabled with a watchdog.
+// Resilience (one attempt, no attempt tracing) and Enabled (retries,
+// hang reports with a trace tail).
 var policies = []struct {
 	name string
 	res  Resilience
 }{
 	{"zero", Resilience{}},
-	{"enabled", Resilience{Enabled: true, Watchdog: 400 * time.Millisecond}},
+	{"enabled", Resilience{Enabled: true}},
 }
 
 // isAborted reports whether err is the one error of a run its caller
@@ -175,7 +176,6 @@ func TestCancelAtEveryAttemptIndex(t *testing.T) {
 				Injector:      inj,
 				MaxAttempts:   3,
 				CoreFailLimit: 100, // rate-1 injection must not fail the cores
-				Watchdog:      400 * time.Millisecond,
 			},
 		})
 		out, _, err := c.MaxPoolForward("im2col", in, p)

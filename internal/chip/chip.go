@@ -75,9 +75,10 @@ type Config struct {
 	// all in-flight cores and fails the run with an error matching both
 	// the context's error and aicore.ErrInterrupted.
 	Context context.Context
-	// Resilience configures the tile executor's fault tolerance (watchdog,
-	// retry/requeue, graceful degradation, fault injection). The zero
-	// value runs each tile once and fails the run on the first failure.
+	// Resilience configures the tile executor's fault tolerance (typed
+	// hangs, retry/requeue, graceful degradation, fault injection). The
+	// zero value runs each tile once and fails the run on the first
+	// failure.
 	Resilience Resilience
 	// Trace is the span context every run of this chip nests under: each
 	// entry point opens a chip_run span with a plan_lookup child (the
@@ -117,7 +118,7 @@ type Chip struct {
 	tileRetries   *obs.Counter
 	tileRequeues  *obs.Counter
 	tilesDegraded *obs.Counter
-	watchdogTrips *obs.Counter
+	tileHangs     *obs.Counter
 	coresFailed   *obs.Counter
 	tilePanics    *obs.Counter
 	backoffCycles *obs.Counter
@@ -154,7 +155,7 @@ func New(cfg Config) *Chip {
 		tileRetries:   cfg.Metrics.Counter("chip_tile_retries"),
 		tileRequeues:  cfg.Metrics.Counter("chip_tile_requeues"),
 		tilesDegraded: cfg.Metrics.Counter("chip_tiles_degraded"),
-		watchdogTrips: cfg.Metrics.Counter("chip_watchdog_trips"),
+		tileHangs:     cfg.Metrics.Counter("chip_tile_hangs"),
 		coresFailed:   cfg.Metrics.Counter("chip_cores_failed"),
 		tilePanics:    cfg.Metrics.Counter("chip_tile_panics"),
 		backoffCycles: cfg.Metrics.Counter("chip_retry_backoff_cycles"),

@@ -17,10 +17,11 @@ import (
 //	if errors.As(err, &te) { use te.N, te.C1, te.Pipe ... }
 var (
 	// ErrTileFault: a tile attempt failed with a detected hardware fault
-	// (transient, ECC, stuck pipe).
+	// (transient, ECC).
 	ErrTileFault = errors.New("tile fault")
-	// ErrTileHang: a tile attempt made no progress and the watchdog
-	// reclaimed the core.
+	// ErrTileHang: a tile attempt could make no progress: a pipe stopped
+	// retiring, or a wait_flag's set_flag never comes. The attempt fails
+	// as soon as the hang is known, with no wall-clock wait.
 	ErrTileHang = errors.New("tile hang")
 	// ErrTilePanic: a tile worker panicked; the panic was recovered into
 	// an error instead of crashing the process.
@@ -42,8 +43,8 @@ type TileError struct {
 	// Kind is the failure category: ErrTileFault, ErrTileHang or
 	// ErrTilePanic.
 	Kind error
-	// Cause is the underlying error (injected fault, deadlock, panic
-	// value, watchdog interruption).
+	// Cause is the underlying error (injected fault, stuck pipe,
+	// deadlock, panic value).
 	Cause error
 	// Pipe is the blocked pipe of a hang, when known.
 	Pipe isa.Pipe

@@ -21,10 +21,10 @@ import (
 // Resilience configures the fault tolerance of the tile executor. Every
 // run goes through the same executor; per tile attempt it provides:
 //
-//   - a watchdog that interrupts an attempt making no progress after
-//     Watchdog of host wall time and converts the hang into a typed
-//     *TileError (ErrTileHang) naming the blocked pipe, the unsatisfied
-//     wait_flag when known, and the tail of the stall-attributed trace;
+//   - typed hangs: a stuck pipe or a starved wait_flag fails its attempt
+//     at once with a *TileError (ErrTileHang) naming the blocked pipe, the
+//     unsatisfied wait_flag when known, and the tail of the
+//     stall-attributed trace;
 //   - bounded retry on a clean host core — a faulted core's scratch-pads
 //     may hold corrupted data, so it is dropped, never reused or returned
 //     to the chip's free list — requeued onto a different healthy
@@ -38,9 +38,9 @@ import (
 //     ErrTilePanic carrying the core index, tile identity and stack.
 //
 // Zero-valued fields take defaults, and Enabled picks which: without it a
-// tile gets one attempt, with no watchdog and no attempt tracing, so the
-// first failure fails the run; with it the fault-tolerant defaults named
-// on each field apply.
+// tile gets one attempt, with no attempt tracing, so the first failure
+// fails the run; with it the fault-tolerant defaults named on each field
+// apply.
 //
 // Retry backoff is simulated bookkeeping only: each retry adds
 // retryBackoffBase << (attempt-1) to the chip_retry_backoff_cycles counter
@@ -53,16 +53,12 @@ type Resilience struct {
 	// Injector, when non-nil, perturbs tile attempts with deterministic
 	// seeded faults (internal/faults) — the chaos harness. A faulted
 	// attempt executes no instruction: the executor hands the decided
-	// fault to Injector.Fire in place of the tile run. The hang kinds
-	// block until a watchdog or the run's context reclaims the core, so
-	// they need Enabled or a Watchdog.
+	// fault to Injector.Fire in place of the tile run, and a hang kind
+	// fails its attempt as soon as it fires.
 	Injector *faults.Injector
 	// MaxAttempts bounds hardware attempts per tile (first try included);
 	// 0 means 3 with Enabled, 1 without.
 	MaxAttempts int
-	// Watchdog is the per-attempt host wall-clock budget before a hung
-	// core is reclaimed; 0 means 1s with Enabled, no watchdog without.
-	Watchdog time.Duration
 	// CoreFailLimit is how many failed attempts mark a core bad; 0 means 3.
 	CoreFailLimit int
 	// Degrade enables the golden-model fallback for tiles that exhaust
@@ -72,8 +68,8 @@ type Resilience struct {
 	// TraceTail is how many trailing trace entries a hang report carries;
 	// 0 means 8 with Enabled and no attempt tracing without. Negative
 	// disables attempt tracing (hang reports then carry no schedule tail).
-	// A traced attempt's entries come from a data-free timing walk, up to
-	// where a faulted attempt wedged.
+	// Only faulted attempts are traced; their entries come from a
+	// data-free timing walk, up to where the attempt wedged.
 	TraceTail int
 }
 
@@ -81,8 +77,8 @@ type Resilience struct {
 // in cycles.
 const retryBackoffBase = 1024
 
-// policy resolves r's zero-valued fields. In the result a Watchdog <= 0
-// means no watchdog and a TraceTail <= 0 means no attempt tracing.
+// policy resolves r's zero-valued fields. In the result a TraceTail <= 0
+// means no attempt tracing.
 func (r Resilience) policy() Resilience {
 	if r.CoreFailLimit <= 0 {
 		r.CoreFailLimit = 3
@@ -95,9 +91,6 @@ func (r Resilience) policy() Resilience {
 	}
 	if r.MaxAttempts <= 0 {
 		r.MaxAttempts = 3
-	}
-	if r.Watchdog <= 0 {
-		r.Watchdog = time.Second
 	}
 	if r.TraceTail == 0 {
 		r.TraceTail = 8
@@ -115,10 +108,6 @@ type DegradedTile struct {
 	// LastErr is the final hardware failure, stringified for reporting.
 	LastErr string
 }
-
-// errWatchdog is the cancellation cause of an attempt the watchdog
-// reclaimed.
-var errWatchdog = errors.New("chip: watchdog expired")
 
 // tileAttempt is one pending attempt at an (n, c1) tile.
 type tileAttempt struct {
@@ -307,11 +296,11 @@ func (e *executor) next(k *int) (tileAttempt, bool) {
 	}
 }
 
-// attempt runs j on simulated core k with the watchdog armed (or fires
-// its fault instead), then classifies the outcome. core is the worker's
-// host core (nil takes one from the chip's free list); the result is the
-// core to use next: the same one after a clean attempt, nil after a
-// failed one, whose scratch-pads may hold corrupted data.
+// attempt runs j on simulated core k (or fires its fault instead), then
+// classifies the outcome. core is the worker's host core (nil takes one
+// from the chip's free list); the result is the core to use next: the
+// same one after a clean attempt, nil after a failed one, whose
+// scratch-pads may hold corrupted data.
 func (e *executor) attempt(core *aicore.Core, k int, j tileAttempt) *aicore.Core {
 	if e.ctx.Err() != nil {
 		// Already aborted: don't start an attempt that must not run.
@@ -322,23 +311,23 @@ func (e *executor) attempt(core *aicore.Core, k int, j tileAttempt) *aicore.Core
 	if core == nil {
 		core = c.getCore()
 	}
-	core.Trace = nil
-	capturing := e.rs.capturing(j.n, j.c1)
-	if e.pol.TraceTail > 0 || capturing {
-		core.Trace = &aicore.Trace{}
-	}
 	var f faults.Fault
 	if inj := e.pol.Injector; inj != nil {
 		f = inj.Decide(faults.Tile{N: j.n, C1: j.c1}, j.attempt)
 	}
+	// Only a fault can leave a hang report to write, so clean attempts
+	// skip the traced walk unless this is the captured tile.
+	core.Trace = nil
+	capturing := e.rs.capturing(j.n, j.c1)
+	if capturing || (f.Kind != faults.KindNone && e.pol.TraceTail > 0) {
+		core.Trace = &aicore.Trace{}
+	}
 
 	ts := e.rs.tileSpan(k, j)
-	cancel, hung := e.watch()
-	core.Cancel = cancel
+	core.Cancel = e.ctx.Done()
 	start := time.Now()
 	outs, st, err := e.guardedRun(core, k, j, f)
 	c.tileWall.Observe(time.Since(start).Nanoseconds())
-	wdFired := hung()
 
 	if err == nil {
 		if ts != nil {
@@ -354,45 +343,28 @@ func (e *executor) attempt(core *aicore.Core, k int, j tileAttempt) *aicore.Core
 		e.finalizeSuccess(k, j, outs, st)
 		return core
 	}
+	te := e.classify(k, j, core, err)
 	var spanID trace.SpanID
 	if ts != nil {
-		if wdFired {
-			ts.SetAttr("watchdog", "tripped")
+		if te != nil && errors.Is(te.Kind, ErrTileHang) {
+			ts.SetAttr("hang", "true")
 		}
 		ts.SetAttr("outcome", "error")
 		spanID = ts.ID()
 		ts.End()
 	}
-	if e.ctx.Err() != nil && !wdFired {
+	switch {
+	case e.ctx.Err() != nil:
 		// Casualty of the run-wide abort, not a failure of this tile.
 		e.noteAborted()
-		return nil
-	}
-	if te := e.classify(k, j, core, err, wdFired); te != nil {
+	case te != nil:
 		e.handleFailure(k, j, te, spanID)
-	} else {
+	default:
 		// Not a fault, hang or panic: a deterministic bug (bad plan, bad
 		// shape). Retrying cannot help; fail the run.
 		e.setFatal(fmt.Errorf("chip: core %d tile (%d,%d): %w", k, j.n, j.c1, err))
 	}
 	return nil
-}
-
-// watch returns one attempt's Cancel channel, closed by the watchdog
-// (hang) or by the run-wide context (fail-fast abort, caller
-// cancellation), and a func to call once the attempt returns, which
-// stops the watchdog and reports whether it fired. Without a watchdog the
-// channel is the run context's own: no timer, no goroutine.
-func (e *executor) watch() (<-chan struct{}, func() bool) {
-	if e.pol.Watchdog <= 0 {
-		return e.ctx.Done(), func() bool { return false }
-	}
-	ctx, cancel := context.WithTimeoutCause(e.ctx, e.pol.Watchdog, errWatchdog)
-	return ctx.Done(), func() bool {
-		fired := errors.Is(context.Cause(ctx), errWatchdog)
-		cancel()
-		return fired
-	}
 }
 
 // guardedRun carries out fault f, if any, and runs the tile closure
@@ -418,8 +390,10 @@ func (e *executor) guardedRun(core *aicore.Core, k int, j tileAttempt, f faults.
 }
 
 // classify turns a failed attempt into a typed *TileError, or nil when
-// the failure is deterministic (not retryable).
-func (e *executor) classify(k int, j tileAttempt, core *aicore.Core, err error, hung bool) *TileError {
+// the failure is deterministic (not retryable). A deadlock or a stuck
+// pipe is a hang, whatever else it is; other injected faults are tile
+// faults.
+func (e *executor) classify(k int, j tileAttempt, core *aicore.Core, err error) *TileError {
 	var te *TileError
 	if errors.As(err, &te) {
 		return te // panic path, already typed
@@ -428,32 +402,26 @@ func (e *executor) classify(k int, j tileAttempt, core *aicore.Core, err error, 
 	var dl *aicore.DeadlockError
 	var sp *faults.StuckPipeError
 	switch {
-	case hung:
-		te.Kind = ErrTileHang
-		e.chip.watchdogTrips.Inc()
-		if errors.As(err, &dl) {
-			te.Pipe, te.Flag, te.HasFlag = dl.Pipe, dl.Flag, dl.HasFlag
-		} else if errors.As(err, &sp) {
-			te.Pipe = sp.Pipe
-		}
-		if core.Trace != nil {
-			tail := core.Trace.Entries
-			if len(tail) > e.pol.TraceTail {
-				tail = tail[len(tail)-e.pol.TraceTail:]
-			}
-			te.TraceTail = append([]aicore.TraceEntry(nil), tail...)
-		}
+	case errors.As(err, &dl):
+		te.Pipe, te.Flag, te.HasFlag = dl.Pipe, dl.Flag, dl.HasFlag
+	case errors.As(err, &sp):
+		te.Pipe = sp.Pipe
 	default:
-		if _, injected := faults.IsInjected(err); injected {
-			te.Kind = ErrTileFault
-		} else if errors.As(err, &dl) {
-			// A deadlock that surfaced without hanging (no watchdog wait)
-			// is still a sync failure of this attempt.
-			te.Kind = ErrTileHang
-			te.Pipe, te.Flag, te.HasFlag = dl.Pipe, dl.Flag, dl.HasFlag
-		} else {
+		if _, injected := faults.IsInjected(err); !injected {
 			return nil
 		}
+		te.Kind = ErrTileFault
+		return te
+	}
+	te.Kind = ErrTileHang
+	// The captured tile is traced whatever TraceTail says; a hang report
+	// carries a tail only when TraceTail asks for one.
+	if core.Trace != nil && e.pol.TraceTail > 0 {
+		tail := core.Trace.Entries
+		if len(tail) > e.pol.TraceTail {
+			tail = tail[len(tail)-e.pol.TraceTail:]
+		}
+		te.TraceTail = append([]aicore.TraceEntry(nil), tail...)
 	}
 	return te
 }
@@ -462,8 +430,11 @@ func (e *executor) classify(k int, j tileAttempt, core *aicore.Core, err error, 
 // degrades the tile, or fails the run.
 func (e *executor) handleFailure(k int, j tileAttempt, te *TileError, spanID trace.SpanID) {
 	c := e.chip
-	if errors.Is(te.Kind, ErrTilePanic) {
+	switch {
+	case errors.Is(te.Kind, ErrTilePanic):
 		c.tilePanics.Inc()
+	case errors.Is(te.Kind, ErrTileHang):
+		c.tileHangs.Inc()
 	}
 
 	e.mu.Lock()

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"davinci/internal/aicore"
 	"davinci/internal/faults"
@@ -18,19 +17,14 @@ import (
 
 var updateFaults = flag.Bool("update", false, "rewrite the fault-outcome golden file")
 
-// faultGoldenLayer is a 17x17 k3s2 maxpool over four C1 tiles: small
-// enough that the hang kinds, each held until the watchdog, stay fast.
+// faultGoldenLayer is a 17x17 k3s2 maxpool over four C1 tiles.
 func faultGoldenLayer() isa.ConvParams {
 	return isa.ConvParams{Ih: 17, Iw: 17, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 }
 
-// faultGoldenWatchdog reclaims hung attempts. Every attempt of these runs
-// is faulted, so no clean attempt can be mistaken for a hang.
-const faultGoldenWatchdog = 100 * time.Millisecond
-
 // resilienceCounters are the chip_* counters the executor books.
 var resilienceCounters = []string{
-	"chip_tile_retries", "chip_tile_requeues", "chip_tiles_degraded", "chip_watchdog_trips",
+	"chip_tile_retries", "chip_tile_requeues", "chip_tiles_degraded", "chip_tile_hangs",
 	"chip_cores_failed", "chip_tile_panics", "chip_retry_backoff_cycles",
 }
 
@@ -72,7 +66,7 @@ func writeTypedCause(b *strings.Builder, err error) {
 
 // TestFaultOutcomesGolden pins what every fault kind does to a chip run:
 // each kind alone at rate 1 and one mixed-kind seed, over a small layer
-// with attempt tracing on and a short watchdog. With one attempt per
+// with attempt tracing on. With one attempt per
 // tile and degradation on, each tile's LastErr carries its attempt's
 // error; with a retry allowed, every tile recovers; a one-tile run per
 // kind without degradation surfaces the *TileError, its typed cause and
@@ -99,8 +93,7 @@ func TestFaultOutcomesGolden(t *testing.T) {
 		// One attempt per tile, degraded to the golden model.
 		inj := faults.New(faults.Config{Seed: sc.seed, Rate: 1, Kinds: sc.kinds, MaxPerTile: 1 << 30}, nil)
 		c := New(Config{Cores: 2, Resilience: Resilience{
-			Enabled: true, Injector: inj, MaxAttempts: 1, Degrade: true,
-			Watchdog: faultGoldenWatchdog, TraceTail: 8,
+			Enabled: true, Injector: inj, MaxAttempts: 1, Degrade: true, TraceTail: 8,
 		}})
 		out, st, err := c.MaxPoolForward("im2col", chaosInput(t, p, 1, 4), p)
 		if err != nil {
@@ -115,8 +108,7 @@ func TestFaultOutcomesGolden(t *testing.T) {
 		// A fault on the first attempt only; the retry runs clean.
 		inj = faults.New(faults.Config{Seed: sc.seed, Rate: 1, Kinds: sc.kinds, MaxPerTile: 1}, nil)
 		c = New(Config{Cores: 2, Resilience: Resilience{
-			Enabled: true, Injector: inj, MaxAttempts: 2,
-			Watchdog: faultGoldenWatchdog, TraceTail: 8, CoreFailLimit: 1 << 30,
+			Enabled: true, Injector: inj, MaxAttempts: 2, TraceTail: 8, CoreFailLimit: 1 << 30,
 		}})
 		out, st, err = c.MaxPoolForward("im2col", chaosInput(t, p, 1, 4), p)
 		if err != nil {
@@ -130,8 +122,7 @@ func TestFaultOutcomesGolden(t *testing.T) {
 		// Seed 22 wedges the stuck pipe deep enough for a full trace tail.
 		inj := faults.New(faults.Config{Seed: 22, Rate: 1, Kinds: []faults.Kind{k}, MaxPerTile: 1 << 30}, nil)
 		c := New(Config{Cores: 1, Resilience: Resilience{
-			Enabled: true, Injector: inj, MaxAttempts: 1,
-			Watchdog: faultGoldenWatchdog, TraceTail: 8,
+			Enabled: true, Injector: inj, MaxAttempts: 1, TraceTail: 8,
 		}})
 		_, _, err := c.MaxPoolForward("im2col", chaosInput(t, p, 1, 1), p)
 		fmt.Fprintf(&b, "== %v: one tile, not degraded\nerror: %v\n", k, err)

@@ -23,7 +23,7 @@ import (
 
 // chaosLayer is a small Table I layer (InceptionV3 pool 3: 35x35x288,
 // kernel 3, stride 2) — 18 C1 tiles, enough to exercise requeueing
-// across cores without making hang-heavy tests slow.
+// across cores.
 func chaosLayer() (isa.ConvParams, int) {
 	for _, l := range workloads.TableI {
 		if l.Network == "InceptionV3" && l.Index == 3 {
@@ -56,12 +56,9 @@ func TestChaosBitIdentity(t *testing.T) {
 
 	inj := faults.New(faults.Config{Seed: 1, Rate: 0.5, MaxPerTile: 1}, nil)
 	chaos := New(Config{Cores: 4, Resilience: Resilience{
-		Enabled:     true,
-		Injector:    inj,
-		MaxAttempts: 3,
-		// Generous budget: a clean attempt crossing the watchdog line
-		// under -race would be falsely reclaimed as a hang.
-		Watchdog:      500 * time.Millisecond,
+		Enabled:       true,
+		Injector:      inj,
+		MaxAttempts:   3,
 		CoreFailLimit: 1 << 30, // never mark cores bad: retries must succeed
 	}})
 	got, st, err := chaos.MaxPoolForward("im2col", in, p)
@@ -87,7 +84,7 @@ func TestChaosBitIdentity(t *testing.T) {
 	if !ok || retries == 0 {
 		t.Fatalf("chip_tile_retries = %d, %v; want nonzero", retries, ok)
 	}
-	for _, name := range []string{"chip_tile_requeues", "chip_tiles_degraded", "chip_watchdog_trips", "chip_retry_backoff_cycles"} {
+	for _, name := range []string{"chip_tile_requeues", "chip_tiles_degraded", "chip_tile_hangs", "chip_retry_backoff_cycles"} {
 		if _, ok := st.Metrics.CounterValue(name); !ok {
 			t.Errorf("%s missing from snapshot", name)
 		}
@@ -105,8 +102,7 @@ func TestChaosDeterminism(t *testing.T) {
 	run := func() (*tensor.Tensor, *faults.Injector) {
 		inj := faults.New(faults.Config{Seed: 11, Rate: 0.4, MaxPerTile: 1}, nil)
 		chaos := New(Config{Cores: 3, Resilience: Resilience{
-			Enabled: true, Injector: inj, Watchdog: 500 * time.Millisecond,
-			CoreFailLimit: 1 << 30,
+			Enabled: true, Injector: inj, CoreFailLimit: 1 << 30,
 		}})
 		out, _, err := chaos.MaxPoolForward("im2col", in, p)
 		if err != nil {
@@ -126,10 +122,10 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestWatchdogDroppedFlag: a program whose set_flag was dropped must trip
-// the watchdog — not hang the test — and the resulting error must name
-// the category, the blocked pipe and the unsatisfied wait_flag.
-func TestWatchdogDroppedFlag(t *testing.T) {
+// TestHangDroppedFlag: a program whose set_flag was dropped fails as a
+// typed hang — it does not hang the test — and the error names the
+// category, the blocked pipe and the unsatisfied wait_flag.
+func TestHangDroppedFlag(t *testing.T) {
 	p, c1 := chaosLayer()
 	in := chaosInput(t, p, 1, c1)
 	inj := faults.New(faults.Config{
@@ -138,7 +134,6 @@ func TestWatchdogDroppedFlag(t *testing.T) {
 	chaos := New(Config{Cores: 2, Resilience: Resilience{
 		Enabled: true, Injector: inj,
 		MaxAttempts: 1, // no retries: the hang must surface as the run error
-		Watchdog:    50 * time.Millisecond,
 	}})
 	_, _, err := chaos.MaxPoolForward("im2col", in, p)
 	if err == nil {
@@ -161,15 +156,96 @@ func TestWatchdogDroppedFlag(t *testing.T) {
 	if !strings.Contains(msg, "wait_flag") || !strings.Contains(msg, "blocked") {
 		t.Errorf("error text %q does not name the blocked pipe and flag", msg)
 	}
-	if v, _ := chaos.Metrics().Snapshot().CounterValue("chip_watchdog_trips"); v == 0 {
-		t.Error("watchdog tripped but chip_watchdog_trips is zero")
+	if v, _ := chaos.Metrics().Snapshot().CounterValue("chip_tile_hangs"); v == 0 {
+		t.Error("attempt hung but chip_tile_hangs is zero")
 	}
 }
 
-// TestRetryRequeueSuccess: every tile's first attempt wedges a pipe; the
-// watchdog reclaims each core and the retry — on a fresh core, requeued
-// away from the one that failed — succeeds. Exact counter arithmetic is
-// deterministic because fault decisions are schedule-independent.
+// TestHangWithoutEnabled: a hang kind on a chip without Enabled — one
+// attempt, no attempt tracing, no Context — fails the run typed
+// ErrTileHang at once. Nothing closes the attempt's Cancel channel in
+// this configuration, so a hang that waited on it would never return.
+// The public facade reaches it as
+// davinci.Resilience{Injector: davinci.NewFaultInjector(...)}.
+func TestHangWithoutEnabled(t *testing.T) {
+	p := faultGoldenLayer()
+	in := chaosInput(t, p, 1, 1)
+	for _, k := range []faults.Kind{faults.KindStuckPipe, faults.KindDroppedFlag} {
+		inj := faults.New(faults.Config{Seed: 1, Rate: 1, Kinds: []faults.Kind{k}}, nil)
+		c := New(Config{Cores: 1, Resilience: Resilience{Injector: inj}})
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := c.MaxPoolForward("im2col", in, p)
+			done <- err
+		}()
+		var err error
+		select {
+		case err = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%v: run still blocked after 30s", k)
+		}
+		var te *TileError
+		if !errors.Is(err, ErrTileHang) || !errors.As(err, &te) {
+			t.Fatalf("%v: err %v is not a *TileError matching ErrTileHang", k, err)
+		}
+		if te.Attempt != 1 || len(te.TraceTail) != 0 {
+			t.Errorf("%v: attempt %d with %d trace entries, want attempt 1 untraced", k, te.Attempt, len(te.TraceTail))
+		}
+		if n := inj.Injected(k); n != 1 {
+			t.Errorf("faults_injected{%v} = %d, want 1", k, n)
+		}
+	}
+}
+
+// TestHangCapturedTileNoTail: CaptureTrace traces tile (0, 0) even when a
+// negative TraceTail turns hang reports' tails off; a hang there fails
+// the run with an untraced report instead of crashing the classifier.
+func TestHangCapturedTileNoTail(t *testing.T) {
+	p := faultGoldenLayer()
+	inj := faults.New(faults.Config{Seed: 1, Rate: 1, Kinds: []faults.Kind{faults.KindStuckPipe}}, nil)
+	c := New(Config{Cores: 1, CaptureTrace: true, Resilience: Resilience{
+		Enabled: true, Injector: inj, MaxAttempts: 1, TraceTail: -1,
+	}})
+	_, _, err := c.MaxPoolForward("im2col", chaosInput(t, p, 1, 1), p)
+	var te *TileError
+	if !errors.Is(err, ErrTileHang) || !errors.As(err, &te) {
+		t.Fatalf("err %v is not a *TileError matching ErrTileHang", err)
+	}
+	if len(te.TraceTail) != 0 {
+		t.Errorf("TraceTail -1, yet the hang report carries %d entries", len(te.TraceTail))
+	}
+}
+
+// TestFaultedAttemptsOnlyTraced: only a faulted attempt can leave a hang
+// report to write, so under Enabled (a trace tail of 8) every clean
+// attempt runs on an untraced core, the retries of faulted ones too.
+func TestFaultedAttemptsOnlyTraced(t *testing.T) {
+	prog := vectorOnly()
+	inj := faults.New(faults.Config{Seed: 1, Rate: 0.5, Kinds: []faults.Kind{faults.KindStuckPipe}}, nil)
+	c := New(Config{Cores: 2, Resilience: Resilience{Enabled: true, Injector: inj, CoreFailLimit: 1 << 30}})
+	var clean, traced atomic.Int32
+	_, _, err := c.runTiles(nil, prog, 2, 4, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
+		clean.Add(1)
+		if core.Trace != nil {
+			traced.Add(1)
+		}
+		return []*tensor.Tensor{tensor.New(1)}, &aicore.Stats{Cycles: 1}, nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hangs := inj.Injected(faults.KindStuckPipe); hangs == 0 || clean.Load() != 8 {
+		t.Fatalf("%d hangs and %d clean attempts, want some hangs and 8 clean attempts", hangs, clean.Load())
+	}
+	if n := traced.Load(); n != 0 {
+		t.Errorf("%d of %d clean attempts ran on a traced core", n, clean.Load())
+	}
+}
+
+// TestRetryRequeueSuccess: every tile's first attempt wedges a pipe and
+// fails as a hang; the retry — on a fresh core, requeued away from the
+// one that failed — succeeds. Exact counter arithmetic is deterministic
+// because fault decisions are schedule-independent.
 func TestRetryRequeueSuccess(t *testing.T) {
 	p, c1 := chaosLayer()
 	in := chaosInput(t, p, 1, c1)
@@ -177,14 +253,9 @@ func TestRetryRequeueSuccess(t *testing.T) {
 	inj := faults.New(faults.Config{
 		Seed: 9, Rate: 1, Kinds: []faults.Kind{faults.KindStuckPipe}, MaxPerTile: 1,
 	}, nil)
-	// The watchdog must be long enough that a CLEAN retry attempt never
-	// trips it (the counter arithmetic below assumes exactly one trip per
-	// tile), yet short enough that 18 real hangs stay fast. 400ms under
-	// -race leaves an order of magnitude of slack on both sides.
 	chaos := New(Config{Cores: 4, Resilience: Resilience{
 		Enabled: true, Injector: inj,
-		MaxAttempts: 3, Watchdog: 400 * time.Millisecond,
-		CoreFailLimit: 1 << 30,
+		MaxAttempts: 3, CoreFailLimit: 1 << 30,
 	}})
 	want, _, err := New(Config{Cores: 4}).MaxPoolForward("im2col", in, p)
 	if err != nil {
@@ -203,7 +274,7 @@ func TestRetryRequeueSuccess(t *testing.T) {
 	for name, want := range map[string]int64{
 		"chip_tile_retries":   tiles,
 		"chip_tile_requeues":  tiles,
-		"chip_watchdog_trips": tiles,
+		"chip_tile_hangs":     tiles,
 		"chip_tiles_degraded": 0,
 	} {
 		if v, ok := st.Metrics.CounterValue(name); !ok || v != want {
@@ -227,7 +298,7 @@ func TestDegradationReport(t *testing.T) {
 	}, nil)
 	chaos := New(Config{Cores: 4, Resilience: Resilience{
 		Enabled: true, Injector: inj, Degrade: true,
-		MaxAttempts: 2, Watchdog: time.Second, CoreFailLimit: 1 << 30,
+		MaxAttempts: 2, CoreFailLimit: 1 << 30,
 	}})
 	want, _, err := New(Config{Cores: 4}).MaxPoolForward("im2col", in, p)
 	if err != nil {
@@ -259,14 +330,20 @@ func TestDegradationReport(t *testing.T) {
 	}
 }
 
+// vectorOnly is a two-instruction program on the vector pipe alone.
+func vectorOnly() *cce.Program {
+	prog := cce.New("vector-only")
+	prog.EmitVec(isa.VDup, isa.Contig(isa.UB, 0), isa.Operand{}, isa.Operand{}, fp16.One, isa.FullMask(), 2)
+	prog.EmitVec(isa.VAdds, isa.Contig(isa.UB, 512), isa.Contig(isa.UB, 0), isa.Operand{}, fp16.One, isa.FullMask(), 2)
+	return prog
+}
+
 // TestFaultDroppedFlagNothingToDrop: a program on one pipe has no
 // cross-pipe dependency, so its AutoSync form has no set_flag to drop. A
 // dropped-flag decision then fires nothing: the attempt runs clean,
 // returns the clean run's bytes and Stats, and no fault is counted.
 func TestFaultDroppedFlagNothingToDrop(t *testing.T) {
-	prog := cce.New("vector-only")
-	prog.EmitVec(isa.VDup, isa.Contig(isa.UB, 0), isa.Operand{}, isa.Operand{}, fp16.One, isa.FullMask(), 2)
-	prog.EmitVec(isa.VAdds, isa.Contig(isa.UB, 512), isa.Contig(isa.UB, 0), isa.Operand{}, fp16.One, isa.FullMask(), 2)
+	prog := vectorOnly()
 	run := func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
 		st, err := core.Run(prog)
 		if err != nil {
@@ -301,7 +378,7 @@ func TestFaultDroppedFlagNothingToDrop(t *testing.T) {
 // complete the run.
 func TestPanicRecovery(t *testing.T) {
 	c := New(Config{Cores: 2, Resilience: Resilience{
-		Enabled: true, Watchdog: time.Second, CoreFailLimit: 1 << 30,
+		Enabled: true, CoreFailLimit: 1 << 30,
 	}})
 	var panicked atomic.Bool
 	results, st, err := c.runTiles(nil, nil, 2, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
@@ -329,7 +406,7 @@ func TestPanicRecovery(t *testing.T) {
 // with a typed ErrTilePanic carrying the core index, tile and stack.
 func TestPanicExhaustion(t *testing.T) {
 	c := New(Config{Cores: 2, Resilience: Resilience{
-		Enabled: true, MaxAttempts: 2, Watchdog: time.Second, CoreFailLimit: 1 << 30,
+		Enabled: true, MaxAttempts: 2, CoreFailLimit: 1 << 30,
 	}})
 	_, _, err := c.runTiles(nil, nil, 1, 2, func(core *aicore.Core, ni, ci int) ([]*tensor.Tensor, *aicore.Stats, error) {
 		if ci == 0 {

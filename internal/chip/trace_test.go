@@ -3,7 +3,6 @@ package chip
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"davinci/internal/faults"
 	"davinci/internal/trace"
@@ -138,10 +137,8 @@ func TestSpanConsistencyRetryStorm(t *testing.T) {
 		Rate: 0.6,
 		// Every attempt may fault, so tiles can exhaust the budget and
 		// degrade — the default would guarantee first retries succeed.
+		// Every kind is drawn: each fails its attempt as soon as it fires.
 		MaxPerTile: maxAttempts,
-		// Transient faults and bitflips fail an attempt deterministically;
-		// the hang kinds would spend real watchdog wall-time per fault.
-		Kinds: []faults.Kind{faults.KindTransient, faults.KindBitFlip},
 	}, nil)
 
 	// Replay the decision schedule the executor will see.
@@ -169,13 +166,10 @@ func TestSpanConsistencyRetryStorm(t *testing.T) {
 
 	tracer := trace.New()
 	c := New(Config{Cores: 4, Trace: tracer.Root(), Resilience: Resilience{
-		Enabled:     true,
-		Injector:    inj,
-		MaxAttempts: maxAttempts,
-		Degrade:     true,
-		// No hang kinds are armed, so the watchdog only needs to stay out
-		// of the way of clean attempts slowed down by -race.
-		Watchdog:      5 * time.Second,
+		Enabled:       true,
+		Injector:      inj,
+		MaxAttempts:   maxAttempts,
+		Degrade:       true,
 		CoreFailLimit: 1 << 30, // cores never go bad: rebalancing would reshuffle the schedule
 	}})
 

@@ -11,14 +11,17 @@
 //     fails at a chosen instruction with an ECC error — the corruption is
 //     really present in the scratch-pad, so a resilience layer that failed
 //     to retry on a pristine core would propagate it.
-//   - StuckPipe: the chosen instruction's pipeline stops retiring; the
-//     attempt blocks until the core's Cancel channel fires (a real hang,
-//     reclaimed by a watchdog).
+//   - StuckPipe: the chosen instruction's pipeline stops retiring. No later
+//     instruction of that pipe can issue, so the attempt can never finish:
+//     Fire returns the hang at once as a StuckPipeError naming the pipe.
 //   - DroppedFlag: the program is re-synchronized with explicit
 //     set_flag/wait_flag tokens (cce.AutoSync), one set_flag is dropped,
 //     and the result is timed under explicit semantics — the starved
-//     wait_flag deadlocks, again a hang, whose diagnosis names the blocked
-//     pipe and the unsatisfied flag (aicore.DeadlockError).
+//     wait_flag deadlocks, again a hang, returned at once as an
+//     aicore.DeadlockError naming the blocked pipe and the unsatisfied flag.
+//
+// A hang is a property of the instruction stream, not of elapsed time, so
+// no fault waits on the wall clock or on the core's Cancel channel.
 //
 // Decisions are pure functions of the configuration, so the fault schedule
 // is identical across runs and independent of goroutine scheduling: chaos
@@ -202,9 +205,9 @@ func (inj *Injector) Decide(t Tile, attempt int) Fault {
 // in a program whose AutoSync form has no set_flag) and the attempt runs
 // clean; faults_injected counts every fault that fires. The instruction
 // kinds target instruction r mod len(prog) and name it as a failed run
-// does. A stuck pipe first records on a traced core the schedule before
-// the target, a dropped flag the explicit schedule up to its deadlock;
-// both then block until core.Cancel closes (when set).
+// does. A stuck pipe records on a traced core the schedule before the
+// target, a dropped flag the explicit schedule up to its deadlock; both
+// return their hang without blocking.
 func (inj *Injector) Fire(core *aicore.Core, prog *cce.Program, f Fault) error {
 	switch f.Kind {
 	case KindNone:
@@ -231,7 +234,6 @@ func (inj *Injector) Fire(core *aicore.Core, prog *cce.Program, f Fault) error {
 	case KindStuckPipe:
 		core.TraceUpTo(prog, target)
 		inj.count(KindStuckPipe)
-		hang(core)
 		return at(&StuckPipeError{Pipe: prog.Instrs[target].Pipe(), Instr: target})
 	default:
 		inj.count(KindTransient)
@@ -242,7 +244,8 @@ func (inj *Injector) Fire(core *aicore.Core, prog *cce.Program, f Fault) error {
 // dropFlag realizes the dropped-set_flag kind: prog is explicitly
 // synchronized and one set_flag is removed. AutoSync pairs every set_flag
 // with one wait_flag, so the mutilated program's explicit schedule
-// deadlocks on the starved wait, which hangs until the core is cancelled.
+// deadlocks on the starved wait, and the timing walk returns that
+// deadlock.
 func (inj *Injector) dropFlag(core *aicore.Core, prog *cce.Program, f Fault) error {
 	synced := cce.AutoSync(prog)
 	var sets []int
@@ -263,19 +266,7 @@ func (inj *Injector) dropFlag(core *aicore.Core, prog *cce.Program, f Fault) err
 	}
 	inj.count(KindDroppedFlag)
 	_, err := core.TimeExplicit(mut)
-	var dl *aicore.DeadlockError
-	if errors.As(err, &dl) {
-		hang(core)
-	}
 	return err
-}
-
-// hang blocks, as a core spinning on a wedged pipe or a starved wait_flag
-// would, until the watchdog or a run-wide abort closes core.Cancel.
-func hang(core *aicore.Core) {
-	if core.Cancel != nil {
-		<-core.Cancel
-	}
 }
 
 // TransientError is a detected transient tile fault (soft error).
@@ -300,8 +291,8 @@ func (e *ECCError) Error() string {
 	return fmt.Sprintf("faults: injected ECC error: bit %d of %v byte %d flipped", e.Bit, e.Buf, e.Offset)
 }
 
-// StuckPipeError reports a pipeline that stopped retiring; the run hung
-// until the core was cancelled.
+// StuckPipeError reports a pipeline that stopped retiring: the attempt
+// hangs, since no later instruction of that pipe can issue.
 type StuckPipeError struct {
 	// Pipe is the stuck pipeline.
 	Pipe isa.Pipe

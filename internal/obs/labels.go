@@ -64,7 +64,7 @@ var CanonicalMetricNames = map[string]bool{
 	"chip_tile_retries":         true,
 	"chip_tile_requeues":        true,
 	"chip_tiles_degraded":       true,
-	"chip_watchdog_trips":       true,
+	"chip_tile_hangs":           true,
 	"chip_cores_failed":         true,
 	"chip_tile_panics":          true,
 	"chip_retry_backoff_cycles": true,

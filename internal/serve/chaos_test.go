@@ -14,11 +14,10 @@ import (
 )
 
 // chaosServer builds a small fleet under heavy seeded fault injection:
-// 30% per-attempt fault rate across every kind (transient ECC-style
-// flips, dropped flags, stuck pipes, hangs), with fault schedules that
-// outlast the chip-level retry budget so failures escalate to the serving
-// layer's breakers and degradation. Watchdog budgets follow the chip
-// chaos suite's guidance for -race CI machines.
+// 30% per-attempt fault rate across every kind (transient faults, ECC
+// bit flips, and the two hangs: dropped flags and stuck pipes), with
+// fault schedules that outlast the chip-level retry budget so failures
+// escalate to the serving layer's breakers and degradation.
 func chaosServer(reg *obs.Registry, tc trace.Ctx) *Server {
 	inj := faults.New(faults.Config{
 		Seed:       1234,
@@ -31,7 +30,6 @@ func chaosServer(reg *obs.Registry, tc trace.Ctx) *Server {
 			Enabled:     true,
 			Injector:    inj,
 			MaxAttempts: 2,
-			Watchdog:    300 * time.Millisecond,
 		},
 		QueueLimit:       8, // small: overload must hit queue_full and eviction
 		MaxBatch:         4,

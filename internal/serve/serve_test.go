@@ -342,7 +342,6 @@ func TestServeBreakerDegradesAndProbes(t *testing.T) {
 			Enabled:     true,
 			Injector:    inj,
 			MaxAttempts: 2,
-			Watchdog:    400 * time.Millisecond,
 		},
 		DegradeOnFailure: true,
 		BreakerFailLimit: 2,
