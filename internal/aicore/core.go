@@ -187,7 +187,7 @@ func (c *Core) Run(prog *cce.Program) (*Stats, error) {
 		}
 	}
 	fp := Flatten(prog)
-	ran, err := c.execOps(fp, fp.ops)
+	ran, err := c.execOps(fp)
 	st := walk(prog.Instrs[:ran], c.Cost, c.Serialize, c.Trace)
 	if err != nil {
 		return nil, err

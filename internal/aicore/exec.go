@@ -280,7 +280,7 @@ func (c *Core) execMmad(mm *isa.MmadInstr) error {
 						for j := 0; j < isa.FractalC0; j++ {
 							av := fp16.ToFloat32(fp16.Load(a, aBase+(r*isa.FractalC0+j)*fp16.Bytes))
 							bv := fp16.ToFloat32(fp16.Load(b, bBase+(j*isa.FractalC0+col)*fp16.Bytes))
-							acc += av * bv
+							acc += float32(av * bv) // float32() rounds the product: no target fuses it into an FMA
 						}
 					}
 					binary.LittleEndian.PutUint32(cc[cOff:], math.Float32bits(acc))

@@ -30,7 +30,7 @@ func (c *Core) RunExplicit(prog *cce.Program) (*Stats, error) {
 		}
 	}
 	fp := Flatten(prog)
-	if _, err := c.execOps(fp, fp.ops); err != nil {
+	if _, err := c.execOps(fp); err != nil {
 		return nil, err
 	}
 	return c.TimeExplicit(prog)

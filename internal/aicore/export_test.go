@@ -34,6 +34,14 @@ func FlatFolds(fp *FlatProgram) int {
 	return countOps(fp, func(op *flatOp) bool { return op.kind == fFold })
 }
 
+// FlatStrideMaxFolds returns the number of fFold ops that run
+// fp16.MaxFold: dup-led vmax chains whose sources lie at a constant stride.
+func FlatStrideMaxFolds(fp *FlatProgram) int {
+	return countOps(fp, func(op *flatOp) bool {
+		return op.kind == fFold && op.op == isa.VMax && op.dup && op.sStride >= 0
+	})
+}
+
 // FlatVecOps returns the number of unfused fVec and fVecMasked ops
 // applying v in a flattened program.
 func FlatVecOps(fp *FlatProgram, v isa.VecOp) int {

@@ -34,10 +34,13 @@ const (
 	fAcc
 	// fCvt converts n float32 elements to Float16 (L0C -> UB move).
 	fCvt
-	// fFold runs a vmax reduction chain in one pass (fp16.MaxFold): n
-	// lanes at dst start at scalar, then for each of rows sources, source s
-	// at src+s*sStride, dst = max(source, dst). Its member ops, unfused,
-	// are FlatProgram.members[src1 : src1+rows+1].
+	// fFold runs a reduction chain in one pass: the n lanes at dst, its
+	// range R, start from a dup of scalar when dup is set and from their
+	// own values otherwise; then for each of rows steps, R = op(source, R),
+	// op vmax or vadd. The steps' source offsets in sBuf and instruction
+	// indices are FlatProgram.stepSrc and stepIdx[src1 : src1+rows]. src is
+	// the first source, and sStride the sources' constant stride, or -1
+	// when they do not lie on a line.
 	fFold
 )
 
@@ -48,6 +51,7 @@ const (
 // through idx rather than holding it.
 type flatOp struct {
 	kind   flatKind
+	dup    bool // fFold: the chain starts with a dup of scalar
 	scalar fp16.Float16
 	msk16  uint16 // fVecMasked: the block's 16 mask bits
 	op     isa.VecOp
@@ -59,7 +63,7 @@ type flatOp struct {
 	src1   int
 	n      int
 	// fGather: the row count and the per-row destination and source
-	// strides in bytes; fFold: the source count and stride.
+	// strides in bytes; fFold: the step count and source stride.
 	rows, dStride, sStride int
 	idx                    int // originating instruction index
 }
@@ -68,20 +72,22 @@ type flatOp struct {
 // instruction decode, lane masking, repeat/block address arithmetic and the
 // SCU's positional walk are resolved once into a linear list of primitive
 // data operations, with adjacent operations coalesced whenever doing so
-// preserves the exact elementary load/op/store order, and vmax reduction
-// chains fused whenever every lane keeps its exact sequence of operations
-// (foldChains). Executing the trace is bit-identical to interpreting the
-// program instruction by instruction, but amortizes all per-lane
-// bookkeeping — which is what makes plan runs cheap. Every program runs
-// this way (Run, plans, RunExplicit); the interpreter (exec) remains
-// only as the fallback for instructions the trace does not resolve.
+// preserves the exact elementary load/op/store order, and vmax and vadd
+// reduction chains fused as they are appended, whenever every lane keeps
+// its exact sequence of operations (settle). Executing the trace is
+// bit-identical to interpreting the program instruction by instruction,
+// but amortizes all per-lane bookkeeping — which is what makes plan runs
+// cheap. Every program runs this way (Run, plans, RunExplicit); the
+// interpreter (exec) remains only as the fallback for instructions the
+// trace does not resolve.
 // Flattening never affects timing: cycle counts come from the data-free
 // walk of the program (Time), which plans memoize.
 type FlatProgram struct {
 	prog *cce.Program
 	ops  []flatOp
-	// members holds the ops each fFold replaced, in order.
-	members []flatOp
+	// stepSrc and stepIdx hold the source offset and instruction index of
+	// every fFold step, in trace order: all an unfused run of a fold needs.
+	stepSrc, stepIdx []int32
 }
 
 // Flatten builds the functional trace of prog. It depends only on the
@@ -96,7 +102,7 @@ func Flatten(prog *cce.Program) *FlatProgram {
 		case *isa.CopyInstr:
 			fp.flattenCopy(idx, v)
 		case *isa.ConvCopyInstr:
-			fp.ops = append(fp.ops, flatOp{
+			fp.push(flatOp{
 				kind: fCvt, dBuf: isa.UB, sBuf: isa.L0C,
 				dst: v.DstAddr, src: v.SrcAddr, n: v.Elems, idx: idx,
 			})
@@ -111,12 +117,91 @@ func Flatten(prog *cce.Program) *FlatProgram {
 			fp.fallback(idx)
 		}
 	}
-	fp.foldChains()
+	fp.settle()
 	return fp
 }
 
 func (fp *FlatProgram) fallback(idx int) {
-	fp.ops = append(fp.ops, flatOp{kind: fInstr, idx: idx})
+	fp.push(flatOp{kind: fInstr, idx: idx})
+}
+
+// push appends op to the trace. The last op can no longer grow once
+// another follows it, so push first folds it into a reduction chain when
+// it is a chain step (settle).
+func (fp *FlatProgram) push(op flatOp) {
+	fp.settle()
+	fp.ops = append(fp.ops, op)
+}
+
+// settle folds the trace's last op into the reduction chain before it
+// when the op is a chain step. A chain is an optional full-mask dup of a
+// range R, then steps R = op(source, R) with one op, vmax or vadd, all
+// full-mask over R and reading one source buffer at any offsets, none
+// overlapping R (isStep). A chain with no dup starts from R's own values,
+// so it needs two steps to fold; a dup and one step fold already. Each
+// lane goes through the same operations with the same operands in the
+// same order fused or not, so the fold is bit-identical. Only each step's
+// source offset and instruction index are kept, for an unfused run.
+// settle reports whether it folded; a settled trace ends in an op settle
+// leaves alone, so calling it again changes nothing.
+func (fp *FlatProgram) settle() bool {
+	ln := len(fp.ops)
+	if ln < 2 || !isStep(&fp.ops[ln-1]) {
+		return false
+	}
+	step, prev := &fp.ops[ln-1], &fp.ops[ln-2]
+	sameRange := prev.dBuf == step.dBuf && prev.dst == step.dst && prev.n == step.n
+	switch {
+	case !sameRange:
+		return false
+	case prev.kind == fFold && prev.op == step.op && prev.sBuf == step.sBuf:
+	case prev.kind == fVec && prev.op == isa.VDup:
+		*prev = flatOp{kind: fFold, dup: true, scalar: prev.scalar, op: step.op,
+			dBuf: prev.dBuf, dst: prev.dst, n: prev.n, sBuf: step.sBuf, src1: len(fp.stepSrc), idx: prev.idx}
+	case isStep(prev) && prev.op == step.op && prev.sBuf == step.sBuf:
+		src, idx := prev.src, prev.idx
+		*prev = flatOp{kind: fFold, op: step.op,
+			dBuf: prev.dBuf, dst: prev.dst, n: prev.n, sBuf: step.sBuf, src1: len(fp.stepSrc), idx: idx}
+		fp.appendStep(prev, src, idx)
+	default:
+		return false
+	}
+	fp.appendStep(prev, step.src, step.idx)
+	fp.ops = fp.ops[:ln-1]
+	return true
+}
+
+// isStep reports whether op can be a reduction chain step: a full-mask
+// vmax or vadd R = op(source, R) whose source does not overlap R, with a
+// source offset and instruction index that fit the step list.
+func isStep(op *flatOp) bool {
+	if op.kind != fVec || (op.op != isa.VMax && op.op != isa.VAdd) || op.s1Buf != op.dBuf || op.src1 != op.dst {
+		return false
+	}
+	nb := op.n * fp16.Bytes
+	if op.sBuf == op.dBuf && op.src < op.dst+nb && op.dst < op.src+nb {
+		return false
+	}
+	return op.src == int(int32(op.src)) && op.idx == int(int32(op.idx))
+}
+
+// appendStep adds the step reading src, of instruction idx, to the fold
+// f, tracking whether the sources still lie at a constant stride >= 0.
+func (fp *FlatProgram) appendStep(f *flatOp, src, idx int) {
+	switch {
+	case f.rows == 0:
+		f.src = src
+	case f.rows == 1:
+		f.sStride = src - f.src
+		if f.sStride < 0 {
+			f.sStride = -1
+		}
+	case f.sStride >= 0 && src != f.src+f.rows*f.sStride:
+		f.sStride = -1
+	}
+	f.rows++
+	fp.stepSrc = append(fp.stepSrc, int32(src))
+	fp.stepIdx = append(fp.stepIdx, int32(idx))
 }
 
 // maskBlock extracts the 16 mask bits covering block b's lanes.
@@ -128,8 +213,11 @@ func maskBlock(m isa.Mask, b int) uint16 {
 // Fully-masked blocks become fVec ops and merge with a contiguous
 // predecessor: a merged tight loop executes the identical sequence of
 // elementary load/op/store steps, so coalescing is always safe even for
-// reduction-style (overlapping or in-place) addressing. Partially masked
-// blocks stay per-block; fully disabled blocks are dropped.
+// reduction-style (overlapping or in-place) addressing. A predecessor
+// that is the next step of the reduction chain before it folds into that
+// chain instead (settle): the standard lowering's last step of one output
+// pixel can be contiguous with the first step of the next. Partially
+// masked blocks stay per-block; fully disabled blocks are dropped.
 func (fp *FlatProgram) flattenVec(idx int, v *isa.VecInstr) {
 	unary, binary := v.Op.IsUnary(), v.Op.IsBinary()
 	for r := 0; r < v.Repeat; r++ {
@@ -154,7 +242,7 @@ func (fp *FlatProgram) flattenVec(idx int, v *isa.VecInstr) {
 			if sub != 0xffff {
 				op.kind = fVecMasked
 				op.msk16 = sub
-				fp.ops = append(fp.ops, op)
+				fp.push(op)
 				continue
 			}
 			if ln := len(fp.ops); ln > 0 {
@@ -162,12 +250,13 @@ func (fp *FlatProgram) flattenVec(idx int, v *isa.VecInstr) {
 				if prev.kind == fVec && prev.op == v.Op && prev.scalar == v.Scalar &&
 					prev.dBuf == op.dBuf && prev.dst+prev.n*fp16.Bytes == op.dst &&
 					(!(unary || binary) || (prev.sBuf == op.sBuf && prev.src+prev.n*fp16.Bytes == op.src)) &&
-					(!binary || (prev.s1Buf == op.s1Buf && prev.src1+prev.n*fp16.Bytes == op.src1)) {
+					(!binary || (prev.s1Buf == op.s1Buf && prev.src1+prev.n*fp16.Bytes == op.src1)) &&
+					!fp.settle() {
 					prev.n += isa.ElemsPerBlock
 					continue
 				}
 			}
-			fp.ops = append(fp.ops, op)
+			fp.push(op)
 		}
 	}
 }
@@ -204,7 +293,7 @@ func (fp *FlatProgram) appendMove(idx int, dBuf, sBuf isa.BufID, dst, src, n int
 			}
 		}
 	}
-	fp.ops = append(fp.ops, flatOp{kind: fMove, dBuf: dBuf, sBuf: sBuf, dst: dst, src: src, n: n, idx: idx})
+	fp.push(flatOp{kind: fMove, dBuf: dBuf, sBuf: sBuf, dst: dst, src: src, n: n, idx: idx})
 }
 
 func (fp *FlatProgram) appendZero(idx int, dBuf isa.BufID, dst, n int) {
@@ -215,7 +304,7 @@ func (fp *FlatProgram) appendZero(idx int, dBuf isa.BufID, dst, n int) {
 			return
 		}
 	}
-	fp.ops = append(fp.ops, flatOp{kind: fZero, dBuf: dBuf, dst: dst, n: n, idx: idx})
+	fp.push(flatOp{kind: fZero, dBuf: dBuf, dst: dst, n: n, idx: idx})
 }
 
 func (fp *FlatProgram) flattenCopy(idx int, m *isa.CopyInstr) {
@@ -230,8 +319,10 @@ func (fp *FlatProgram) flattenCopy(idx int, m *isa.CopyInstr) {
 // flattenIm2Col resolves the SCU's positional walk into plain 32-byte row
 // moves and pad zeroes. Any condition the interpreter would reject at run
 // time falls back to the original instruction so the error surfaces
-// identically.
+// identically. The trace is settled first, so the ops from start on are
+// the instruction's own.
 func (fp *FlatProgram) flattenIm2Col(idx int, im *isa.Im2ColInstr) {
+	fp.settle()
 	start := len(fp.ops)
 	patches := im.P.Patches()
 	rows := im.EffRows()
@@ -289,10 +380,11 @@ func (fp *FlatProgram) appendAcc(idx int, dBuf, sBuf isa.BufID, dst, src int) {
 			return
 		}
 	}
-	fp.ops = append(fp.ops, flatOp{kind: fAcc, dBuf: dBuf, sBuf: sBuf, dst: dst, src: src, n: isa.FractalC0, idx: idx})
+	fp.push(flatOp{kind: fAcc, dBuf: dBuf, sBuf: sBuf, dst: dst, src: src, n: isa.FractalC0, idx: idx})
 }
 
 func (fp *FlatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
+	fp.settle()
 	start := len(fp.ops)
 	patches := ci.P.Patches()
 	patch0 := ci.Patch0
@@ -323,71 +415,6 @@ func (fp *FlatProgram) flattenCol2Im(idx int, ci *isa.Col2ImInstr) {
 	}
 }
 
-// foldChains replaces each vmax reduction chain of the trace with one
-// fFold op. A chain is a full-mask vector_dup of a range followed by
-// k >= 2 full-mask vmax ops of the form dst = max(src_s, dst) over that
-// same range, whose sources sit at a constant stride >= 0 and do not
-// overlap it: the Im2col Maxpool reduction, Kh*Kw passes over one band.
-// Each lane goes through the same ops with the same operands in the same
-// order fused or not, so the fold is bit-identical. The members move to
-// fp.members, so a fold whose bounds fail runs them instead.
-func (fp *FlatProgram) foldChains() {
-	ops := fp.ops
-	fp.ops = ops[:0] // compacts in place: a fold's members are copied out first
-	for i := 0; i < len(ops); {
-		k := chainLen(ops[i:])
-		if k < 2 {
-			fp.ops = append(fp.ops, ops[i])
-			i++
-			continue
-		}
-		dup, first := ops[i], ops[i+1]
-		fold := flatOp{
-			kind: fFold, scalar: dup.scalar,
-			dBuf: dup.dBuf, dst: dup.dst, n: dup.n,
-			sBuf: first.sBuf, src: first.src, rows: k, sStride: ops[i+2].src - first.src,
-			src1: len(fp.members), idx: dup.idx,
-		}
-		fp.members = append(fp.members, ops[i:i+1+k]...)
-		fp.ops = append(fp.ops, fold)
-		i += 1 + k
-	}
-}
-
-// chainLen returns how many vmax ops follow a dup at ops[0] as one
-// foldable chain (see foldChains), or 0.
-func chainLen(ops []flatOp) int {
-	if len(ops) < 3 || ops[0].kind != fVec || ops[0].op != isa.VDup {
-		return 0
-	}
-	d := &ops[0]
-	first := &ops[1]
-	nb := d.n * fp16.Bytes
-	stride := 0
-	k := 0
-	for _, op := range ops[1:] {
-		if op.kind != fVec || op.op != isa.VMax || op.n != d.n ||
-			op.dBuf != d.dBuf || op.dst != d.dst || op.s1Buf != d.dBuf || op.src1 != d.dst ||
-			op.sBuf != first.sBuf {
-			break
-		}
-		if k == 1 {
-			stride = op.src - first.src
-		}
-		if k > 0 && (stride < 0 || op.src != first.src+k*stride) {
-			break
-		}
-		if op.sBuf == d.dBuf && op.src < d.dst+nb && d.dst < op.src+nb {
-			break // the source overlaps the destination
-		}
-		k++
-	}
-	if k < 2 {
-		return 0
-	}
-	return k
-}
-
 // ExecFlat functionally executes a flattened trace, in trace (= program)
 // order; buffer contents afterwards are bit-identical to interpreting the
 // original program instruction by instruction. It computes no Stats (see
@@ -395,49 +422,85 @@ func chainLen(ops []flatOp) int {
 // record: every instruction's, or, when the run fails, those of the
 // instructions before the failing one.
 func (c *Core) ExecFlat(fp *FlatProgram) error {
-	ran, err := c.execOps(fp, fp.ops)
+	ran, err := c.execOps(fp)
 	c.TraceUpTo(fp.prog, ran)
 	return err
 }
 
-// execOps runs ops in order. It returns how many instructions of the
-// program ran: all of them, or on an error those before the failing one.
-// A fold whose bounds fail runs its members unfused instead, so the error
-// names the instruction the interpreter would name, after the same
-// writes.
-func (c *Core) execOps(fp *FlatProgram, ops []flatOp) (int, error) {
-	for i := range ops {
-		op := &ops[i]
+// execOps runs the trace in order. It returns how many instructions of
+// the program ran: all of them, or on an error those before the failing
+// one.
+func (c *Core) execOps(fp *FlatProgram) (int, error) {
+	for i := range fp.ops {
+		op := &fp.ops[i]
 		if c.interrupted() {
 			return op.idx, fmt.Errorf("aicore: %s instr %d: %w", fp.prog.Name, op.idx, ErrInterrupted)
 		}
+		idx, err := op.idx, error(nil)
 		if op.kind == fFold {
-			if !c.execFold(op) {
-				if ran, err := c.execOps(fp, fp.members[op.src1:op.src1+op.rows+1]); err != nil {
-					return ran, err
-				}
-			}
-			continue
+			idx, err = c.execFold(fp, op)
+		} else {
+			err = c.execFlat(fp.prog, op)
 		}
-		if err := c.execFlat(fp.prog, op); err != nil {
-			return op.idx, fmt.Errorf("aicore: %s instr %d (%s): %w", fp.prog.Name, op.idx, fp.prog.Instrs[op.idx], err)
+		if err != nil {
+			return idx, fmt.Errorf("aicore: %s instr %d (%s): %w", fp.prog.Name, idx, fp.prog.Instrs[idx], err)
 		}
 	}
 	return len(fp.prog.Instrs), nil
 }
 
-// execFold runs a vmax reduction chain fused, or reports false, having
-// written nothing, when any of its accesses is out of bounds. The sources
-// lie on a line, so the first and last bound them all.
-func (c *Core) execFold(op *flatOp) bool {
+// execFold runs a reduction chain. When all its accesses are in bounds it
+// runs fused: a dup-led vmax chain whose sources lie on a line through
+// fp16.MaxFold, any other chain through fp16.MaxFoldAt or fp16.AddFold,
+// after its dup. Otherwise it runs the dup and the steps unfused, as the
+// fVec ops they were, so the error names the instruction the interpreter
+// would name, after the same writes; it returns that instruction's index
+// with the error.
+func (c *Core) execFold(fp *FlatProgram, op *flatOp) (int, error) {
 	nb := op.n * fp16.Bytes
 	dst, src := c.Mem.Mem(op.dBuf), c.Mem.Mem(op.sBuf)
-	end := op.src + (op.rows-1)*op.sStride + nb
-	if op.dst < 0 || op.dst+nb > len(dst) || op.src < 0 || end > len(src) {
-		return false
+	offs := fp.stepSrc[op.src1 : op.src1+op.rows]
+	if op.dst < 0 || op.dst+nb > len(dst) {
+		return c.execUnfused(fp, op)
 	}
-	fp16.MaxFold(dst[op.dst:op.dst+nb], op.scalar, src[op.src:end], op.sStride, op.rows)
-	return true
+	for _, off := range offs {
+		if off < 0 || int(off)+nb > len(src) {
+			return c.execUnfused(fp, op)
+		}
+	}
+	d := dst[op.dst : op.dst+nb]
+	switch {
+	case op.op == isa.VMax && op.dup && op.sStride >= 0:
+		fp16.MaxFold(d, op.scalar, src[op.src:], op.sStride, op.rows)
+		return 0, nil
+	case op.dup:
+		fp16.DupSlice(d, op.scalar)
+	}
+	if op.op == isa.VMax {
+		fp16.MaxFoldAt(d, src, offs)
+	} else {
+		fp16.AddFold(d, src, offs)
+	}
+	return 0, nil
+}
+
+// execUnfused runs a fold's dup and steps one by one, through the code
+// that runs an fVec op, and returns the failing one's index and error.
+func (c *Core) execUnfused(fp *FlatProgram, op *flatOp) (int, error) {
+	step := flatOp{kind: fVec, op: isa.VDup, scalar: op.scalar, dBuf: op.dBuf, dst: op.dst, n: op.n}
+	if op.dup {
+		if err := c.execFlatVec(&step); err != nil {
+			return op.idx, err
+		}
+	}
+	step.op, step.sBuf, step.s1Buf, step.src1 = op.op, op.sBuf, op.dBuf, op.dst
+	for s := op.src1; s < op.src1+op.rows; s++ {
+		step.src = int(fp.stepSrc[s])
+		if err := c.execFlatVec(&step); err != nil {
+			return int(fp.stepIdx[s]), err
+		}
+	}
+	return 0, nil
 }
 
 func flatBounds(off, n, size int) error {

@@ -41,14 +41,22 @@ func entropyCore(prog *cce.Program, seed int64) *aicore.Core {
 }
 
 // TestFlatMatchesInterpreterEveryKernel: for every catalogue kernel on the
-// three Fig. 7 layers, the plan's program run through the interpreter on
-// one core and through its flattened trace on another, both starting from
-// the same full-entropy bytes in every buffer, leaves identical bytes in
-// every buffer. Random bits reach NaN, infinity and subnormal operands,
-// which kernel inputs drawn from small integers never do.
+// three Fig. 7 layers and the k2s2 VGG16 28x28 layer, the plan's program
+// run through the interpreter on one core and through its flattened trace
+// on another, both starting from the same full-entropy bytes in every
+// buffer, leaves identical bytes in every buffer. Random bits reach NaN,
+// infinity and subnormal operands, which kernel inputs drawn from small
+// integers never do. The reduction chains fold at 9 steps on the k3s2
+// layers and at 4 on the k2s2 one.
 func TestFlatMatchesInterpreterEveryKernel(t *testing.T) {
 	checked := 0
-	for _, layer := range workloads.InceptionV3Fig7() {
+	layers := workloads.InceptionV3Fig7()
+	for _, l := range workloads.TableI {
+		if l.Network == "VGG16" && l.H == 28 {
+			layers = append(layers, l)
+		}
+	}
+	for _, layer := range layers {
 		p := layer.Params()
 		for _, kc := range kernelcases.All() {
 			pl, err := kc.Plan(ops.Spec{}, p)
@@ -103,64 +111,134 @@ func TestFlatGatherFusion(t *testing.T) {
 	}
 }
 
-// reduceChain builds a vector_dup of one 128-lane repeat at UB offset 0,
-// then three vmax ops dst = max(src_s, dst) with sources at first,
-// first+stride and first+2*stride.
-func reduceChain(name string, first, stride int) *cce.Program {
+// TestFlatFoldsEveryForwardChain pins the reduction-chain folds of the
+// four forward pooling kernels: at every Table I layer no vmax or vadd op
+// is left unfused, and at 147x147 the standard lowering's per-pixel
+// chains bring each standard kernel to at most 5,400 ops, while
+// maxpool_fwd/im2col keeps its 812 ops, every fold a dup-led chain at a
+// constant stride (fp16.MaxFold's loop).
+func TestFlatFoldsEveryForwardChain(t *testing.T) {
+	for _, l := range workloads.TableI {
+		for _, kernel := range []string{"maxpool_fwd/standard", "avgpool_fwd/standard", "maxpool_fwd/im2col", "avgpool_fwd/im2col"} {
+			pl, err := ops.Compile(kernel, ops.Spec{}, ops.Dims{P: l.Params()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp := aicore.Flatten(pl.Prog)
+			name := fmt.Sprintf("%s %dx%d k%ds%d", kernel, l.H, l.W, l.Kernel, l.Stride)
+			if n := aicore.FlatVecOps(fp, isa.VMax) + aicore.FlatVecOps(fp, isa.VAdd); n != 0 || aicore.FlatFolds(fp) == 0 {
+				t.Errorf("%s: %d vmax or vadd ops left unfused (%d folds)", name, n, aicore.FlatFolds(fp))
+			}
+			if l.H != 147 {
+				continue
+			}
+			n := aicore.FlatOps(fp)
+			switch kernel {
+			case "maxpool_fwd/standard", "avgpool_fwd/standard":
+				if n > 5400 {
+					t.Errorf("%s flattens to %d ops, want <= 5400", name, n)
+				}
+			case "maxpool_fwd/im2col":
+				if n != 812 || aicore.FlatStrideMaxFolds(fp) != aicore.FlatFolds(fp) {
+					t.Errorf("%s flattens to %d ops, %d of %d folds dup-led at a stride; want 812, all",
+						name, n, aicore.FlatStrideMaxFolds(fp), aicore.FlatFolds(fp))
+				}
+			}
+		}
+	}
+}
+
+// reduceChain builds a reduction chain over one 128-lane repeat at UB
+// offset 0: a vector_dup of -Inf when dup is set, then one op
+// dst = op(src, dst) per source offset.
+func reduceChain(name string, op isa.VecOp, dup bool, srcs ...int) *cce.Program {
 	prog := cce.New(name)
 	dst := isa.Contig(isa.UB, 0)
-	prog.EmitVec(isa.VDup, dst, isa.Operand{}, isa.Operand{}, fp16.NegativeInfinity, isa.FullMask(), 1)
-	for s := 0; s < 3; s++ {
-		prog.EmitVec(isa.VMax, dst, isa.Contig(isa.UB, first+s*stride), dst, 0, isa.FullMask(), 1)
+	if dup {
+		prog.EmitVec(isa.VDup, dst, isa.Operand{}, isa.Operand{}, fp16.NegativeInfinity, isa.FullMask(), 1)
+	}
+	for _, src := range srcs {
+		prog.EmitVec(op, dst, isa.Contig(isa.UB, src), dst, 0, isa.FullMask(), 1)
 	}
 	return prog
 }
 
-// TestFlatFoldSkipsOverlap: a chain folds into one op when its sources
-// lie apart from the destination, and stays unfused when a source
-// overlaps it.
-func TestFlatFoldSkipsOverlap(t *testing.T) {
-	if fp := aicore.Flatten(reduceChain("apart", 1024, 512)); aicore.FlatOps(fp) != 1 || aicore.FlatFolds(fp) != 1 {
-		t.Errorf("disjoint chain: %d ops, %d folds, want one fold", aicore.FlatOps(fp), aicore.FlatFolds(fp))
+// runUB runs exec on a core with a UB of ub bytes holding small integers
+// of both signs, and returns the UB and exec's error.
+func runUB(ub int, exec func(*aicore.Core) error) ([]byte, error) {
+	c := aicore.New(buffer.Config{UBSize: ub}, nil)
+	m := c.Mem.Mem(isa.UB)
+	for i := 0; i < len(m); i += fp16.Bytes {
+		fp16.Store(m, i, fp16.FromFloat64(float64(i%97)-48))
 	}
-	fp := aicore.Flatten(reduceChain("overlap", 128, 512))
-	if aicore.FlatFolds(fp) != 0 || aicore.FlatVecOps(fp, isa.VMax) == 0 {
-		t.Errorf("overlapping chain: %d folds, %d vmax ops, want the vmax ops unfused", aicore.FlatFolds(fp), aicore.FlatVecOps(fp, isa.VMax))
+	err := exec(c)
+	return m, err
+}
+
+// TestFlatFoldSkipsOverlap: a chain folds into one op when its sources
+// lie apart from the destination. A step whose source overlaps the
+// destination stays unfused; the dup and the step before it fold, and so
+// do the two steps after it, from the destination's own values. Each
+// trace runs to the interpreter's bytes.
+func TestFlatFoldSkipsOverlap(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		srcs                []int
+		ops, folds, unfused int
+	}{
+		{"apart", []int{1024, 1536, 2048}, 1, 1, 0},
+		{"overlap", []int{1024, 128, 1536, 2048}, 3, 2, 1},
+	} {
+		prog := reduceChain(tc.name, isa.VMax, true, tc.srcs...)
+		fp := aicore.Flatten(prog)
+		if aicore.FlatOps(fp) != tc.ops || aicore.FlatFolds(fp) != tc.folds || aicore.FlatVecOps(fp, isa.VMax) != tc.unfused {
+			t.Errorf("%s chain: %d ops, %d folds, %d unfused vmax ops, want %d, %d, %d", tc.name,
+				aicore.FlatOps(fp), aicore.FlatFolds(fp), aicore.FlatVecOps(fp, isa.VMax), tc.ops, tc.folds, tc.unfused)
+		}
+		ubI, errI := runUB(8192, func(c *aicore.Core) error { return c.Interpret(prog) })
+		ubF, errF := runUB(8192, func(c *aicore.Core) error { return c.ExecFlat(fp) })
+		if errI != nil || errF != nil || !bytes.Equal(ubI, ubF) {
+			t.Errorf("%s chain: interpreted (%v) and flattened (%v) runs differ", tc.name, errI, errF)
+		}
 	}
 }
 
 // TestFlatReduceOverrun: a reduction chain whose last source overruns its
 // buffer flattens to one fold, which fails the way the interpreter does:
-// the error names the overrunning vmax, and the dup and the earlier vmax
-// ops have left the same bytes behind.
+// the error names the overrunning step, and the dup and the earlier steps
+// have left the same bytes behind. It holds for a vmax and a vadd chain
+// led by a dup, and for a chain with no dup.
 func TestFlatReduceOverrun(t *testing.T) {
 	const ub = 4096
-	prog := reduceChain("overrun", 1024, 1536) // the last source is [4096, 4352)
-	fp := aicore.Flatten(prog)
-	if aicore.FlatOps(fp) != 1 || aicore.FlatFolds(fp) != 1 {
-		t.Fatalf("want one fold op, got %d ops (%d folds)", aicore.FlatOps(fp), aicore.FlatFolds(fp))
-	}
-	run := func(exec func(*aicore.Core) error) ([]byte, error) {
-		c := aicore.New(buffer.Config{UBSize: ub}, nil)
-		m := c.Mem.Mem(isa.UB)
-		for i := 0; i < len(m); i += fp16.Bytes {
-			fp16.Store(m, i, fp16.FromFloat64(float64(i%97)-48))
+	srcs := []int{1024, 2560, 4096} // the last source is [4096, 4352)
+	for _, tc := range []struct {
+		name string
+		op   isa.VecOp
+		dup  bool
+		last string // the overrunning instruction
+	}{
+		{"vmax", isa.VMax, true, "instr 3 "},
+		{"vadd", isa.VAdd, true, "instr 3 "},
+		{"nodup", isa.VMax, false, "instr 2 "},
+	} {
+		prog := reduceChain(tc.name, tc.op, tc.dup, srcs...)
+		fp := aicore.Flatten(prog)
+		if aicore.FlatOps(fp) != 1 || aicore.FlatFolds(fp) != 1 {
+			t.Fatalf("%s: want one fold op, got %d ops (%d folds)", tc.name, aicore.FlatOps(fp), aicore.FlatFolds(fp))
 		}
-		err := exec(c)
-		return m, err
-	}
-	ubI, errI := run(func(c *aicore.Core) error { return c.Interpret(prog) })
-	ubF, errF := run(func(c *aicore.Core) error { return c.ExecFlat(fp) })
-	if errI == nil || errF == nil {
-		t.Fatalf("want both paths to fail: interpreted %v, flattened %v", errI, errF)
-	}
-	for _, err := range []error{errI, errF} {
-		if !strings.Contains(err.Error(), "overrun instr 3 ") || !strings.Contains(err.Error(), "exceeds") {
-			t.Errorf("error %q does not name the overrunning vmax", err)
+		ubI, errI := runUB(ub, func(c *aicore.Core) error { return c.Interpret(prog) })
+		ubF, errF := runUB(ub, func(c *aicore.Core) error { return c.ExecFlat(fp) })
+		if errI == nil || errF == nil {
+			t.Fatalf("%s: want both paths to fail: interpreted %v, flattened %v", tc.name, errI, errF)
 		}
-	}
-	if !bytes.Equal(ubI, ubF) {
-		t.Error("the failing fold left different bytes than the interpreter")
+		for _, err := range []error{errI, errF} {
+			if !strings.Contains(err.Error(), tc.name+" "+tc.last) || !strings.Contains(err.Error(), "exceeds") {
+				t.Errorf("%s: error %q does not name the overrunning step", tc.name, err)
+			}
+		}
+		if !bytes.Equal(ubI, ubF) {
+			t.Errorf("%s: the failing fold left different bytes than the interpreter", tc.name)
+		}
 	}
 }
 

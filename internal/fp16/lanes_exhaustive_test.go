@@ -92,3 +92,53 @@ func TestExhaustiveMaxFold(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestExhaustiveAddFold checks a 2-source AddFold over every
+// (accumulator, source) pair at its first step, for both starts. From a
+// dup: call v broadcasts v into every accumulator lane and the first
+// source holds every value. From R: the accumulator lanes hold every
+// value and the first source is v in every lane. So each start's 2^16
+// calls cover all 2^32 pairs. The second source, a permutation of every
+// value that differs per call, then steps each result once more. Every
+// lane must equal the scalar chain Add(src1, Add(src0, acc)).
+func TestExhaustiveAddFold(t *testing.T) {
+	all := allValues()
+	n := len(all)
+	offs := []int32{0, int32(n)}
+	var wg sync.WaitGroup
+	var once sync.Once
+	workers := runtime.GOMAXPROCS(0)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			src, start, dst := make([]byte, 2*n), make([]byte, n), make([]byte, n)
+			for v := w; v < 1<<16; v += workers {
+				for i := 0; i < n; i += Bytes {
+					Store(src, n+i, Float16(i/Bytes*0x9e37+v))
+				}
+				for _, fromDup := range []bool{true, false} {
+					if fromDup {
+						fill(start, Float16(v))
+						copy(src, all)
+					} else {
+						copy(start, all)
+						fill(src[:n], Float16(v))
+					}
+					copy(dst, start)
+					AddFold(dst, src, offs)
+					for i := 0; i < n; i += Bytes {
+						acc, s0, s1 := Load(start, i), Load(src, i), Load(src, n+i)
+						if got, want := Load(dst, i), Add(s1, Add(s0, acc)); got != want {
+							once.Do(func() {
+								t.Errorf("AddFold(acc %#04x; %#04x, %#04x) = %#04x, want %#04x", acc, s0, s1, got, want)
+							})
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

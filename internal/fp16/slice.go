@@ -89,9 +89,11 @@ func nonFiniteLanes(w uint64) uint64 { return ((w & laneExp) + laneExpBias) & la
 // widen returns the float32 value of a finite binary16 h exactly: the
 // sign and magnitude bits move into float32 position, which scales the
 // value by 2^-112 (subnormals land on float32 subnormals), and the
-// multiply restores it.
+// multiply restores it. The conversion keeps a caller's add from fusing
+// with the multiply: the result would be the same, but every target then
+// compiles the same operations.
 func widen(h uint16) float32 {
-	return math.Float32frombits(uint32(h&0x8000)<<16|uint32(h&0x7fff)<<13) * 0x1p112
+	return float32(math.Float32frombits(uint32(h&0x8000)<<16|uint32(h&0x7fff)<<13) * 0x1p112)
 }
 
 // narrow rounds f to binary16 to nearest even, bit for bit as FromFloat32
@@ -269,11 +271,137 @@ func MaxFold(dst []byte, init Float16, src []byte, stride, k int) {
 	}
 }
 
-// foldBytes is the dst span MaxFold accumulates at once.
+// foldBytes is the dst span MaxFold and MaxFoldAt accumulate at once.
 const foldBytes = 4 * wordBytes
 
 // foldSlowLanes sets the sign bit of every NaN or -0 lane of w.
 func foldSlowLanes(w uint64) uint64 { return nanLanes(w) | zeroLanes(w)&w }
+
+// MaxFoldAt runs a vmax reduction chain that starts from dst's own lanes:
+// for each offset in order, every lane of dst becomes Max(source lane,
+// dst lane), where the source is the len(dst) bytes at src[off:]. No
+// source may overlap dst. The result is that of len(offs) calls of
+// MaxSlice(dst, source, dst), bit for bit. It is MaxFold's loop with the
+// accumulators loaded from dst: the SWAR select runs inline as long as no
+// accumulator lane of the span started as a NaN (after a non-NaN start an
+// accumulator lane never becomes one).
+func MaxFoldAt(dst, src []byte, offs []int32) {
+	n, i := len(dst), 0
+	for ; i+foldBytes <= n; i += foldBytes {
+		d := dst[i : i+foldBytes]
+		a0, a1, a2, a3 := load64(d, 0), load64(d, 8), load64(d, 16), load64(d, 24)
+		swar := nanLanes(a0)|nanLanes(a1)|nanLanes(a2)|nanLanes(a3) == 0
+		for _, off := range offs {
+			w := src[int(off)+i : int(off)+i+foldBytes]
+			x0, x1, x2, x3 := load64(w, 0), load64(w, 8), load64(w, 16), load64(w, 24)
+			if swar && foldSlowLanes(x0)|foldSlowLanes(x1)|foldSlowLanes(x2)|foldSlowLanes(x3) == 0 {
+				a0, a1, a2, a3 = maxOrdered(x0, a0), maxOrdered(x1, a1), maxOrdered(x2, a2), maxOrdered(x3, a3)
+			} else {
+				a0, a1, a2, a3 = maxWord(x0, a0), maxWord(x1, a1), maxWord(x2, a2), maxWord(x3, a3)
+			}
+		}
+		store64(d, 0, a0)
+		store64(d, 8, a1)
+		store64(d, 16, a2)
+		store64(d, 24, a3)
+	}
+	for ; i < n; i += Bytes {
+		acc := Load(dst, i)
+		for _, off := range offs {
+			acc = Max(Load(src, int(off)+i), acc)
+		}
+		Store(dst, i, acc)
+	}
+}
+
+// AddFold runs a vadd reduction chain that starts from dst's own lanes:
+// for each offset in order, every lane of dst becomes Add(source lane,
+// dst lane), where the source is the len(dst) bytes at src[off:]. No
+// source may overlap dst. The result is that of len(offs) calls of
+// AddSlice(dst, source, dst), bit for bit.
+//
+// Each lane's accumulator stays in float32 between adds, holding a
+// binary16 value exactly. A step adds the widened source lane with the
+// same float32 add Add uses, then rounds the sum to binary16 precision in
+// place (roundHalf) instead of narrowing it to bits and widening it back.
+// A word goes to the scalar chain for one step when a source lane is an
+// Inf or NaN, or when a sum reaches the overflow threshold or is not
+// finite (which also covers non-finite accumulators).
+func AddFold(dst, src []byte, offs []int32) {
+	n, i := len(dst), 0
+	for ; i+wordBytes <= n; i += wordBytes {
+		a0, a1, a2, a3 := exactWord(load64(dst, i))
+		for _, off := range offs {
+			x := load64(src, int(off)+i)
+			if nonFiniteLanes(x) == 0 {
+				f0 := widen(uint16(x)) + a0
+				f1 := widen(uint16(x>>16)) + a1
+				f2 := widen(uint16(x>>32)) + a2
+				f3 := widen(uint16(x>>48)) + a3
+				u0, u1, u2, u3 := math.Float32bits(f0), math.Float32bits(f1), math.Float32bits(f2), math.Float32bits(f3)
+				if ((u0&roundMag+roundBias)|(u1&roundMag+roundBias)|(u2&roundMag+roundBias)|(u3&roundMag+roundBias))&roundSign == 0 {
+					a0, a1, a2, a3 = roundHalf(u0), roundHalf(u1), roundHalf(u2), roundHalf(u3)
+					continue
+				}
+			}
+			a0, a1, a2, a3 = addStep(x, a0), addStep(x>>16, a1), addStep(x>>32, a2), addStep(x>>48, a3)
+		}
+		store64(dst, i, uint64(halfBits(a0))|uint64(halfBits(a1))<<16|uint64(halfBits(a2))<<32|uint64(halfBits(a3))<<48)
+	}
+	for ; i < n; i += Bytes {
+		acc := Load(dst, i)
+		for _, off := range offs {
+			acc = Add(Load(src, int(off)+i), acc)
+		}
+		Store(dst, i, acc)
+	}
+}
+
+// Float32 bit patterns for AddFold's range check: a magnitude plus
+// roundBias carries into roundSign exactly when it is at least 65520, the
+// smallest magnitude that rounds to a binary16 infinity, or not finite.
+const (
+	roundMag  = 0x7fff_ffff
+	roundSign = 0x8000_0000
+	roundBias = roundSign - 0x477f_f000 // 0x477ff000 is 65520
+)
+
+// roundHalf rounds the float32 with bits u, of magnitude below 65520 and
+// the float32 sum of two binary16 values, to the nearest binary16 value,
+// ties to even, and returns it as a float32: the value
+// ToFloat32(FromFloat32(f)). At or above 2^-14 it rounds the 13 mantissa
+// bits binary16 drops: add just under half, plus one when the kept
+// mantissa is odd, then clear them (a carry into the exponent is the
+// correct rounding). Below 2^-14 the sum is exact, a multiple of 2^-24
+// with at most 10 significant bits, so those 13 bits are already zero and
+// the same rounding leaves it unchanged.
+func roundHalf(u uint32) float32 {
+	return math.Float32frombits((u + 0xfff + (u>>13)&1) &^ 0x1fff)
+}
+
+// addStep is one step of the scalar chain on an accumulator that holds a
+// binary16 value exactly: Add(lane 0 of x, acc), widened back. Every
+// float32 value of a binary16 survives FromFloat32 unchanged, NaN
+// included (ToFloat32 quiets a NaN, and Add would quiet it the same way).
+func addStep(x uint64, acc float32) float32 {
+	return ToFloat32(Add(Float16(x), FromFloat32(acc)))
+}
+
+// exactWord widens the four lanes of w exactly.
+func exactWord(w uint64) (float32, float32, float32, float32) {
+	if nonFiniteLanes(w) == 0 {
+		return widen(uint16(w)), widen(uint16(w >> 16)), widen(uint16(w >> 32)), widen(uint16(w >> 48))
+	}
+	return ToFloat32(Float16(w)), ToFloat32(Float16(w >> 16)), ToFloat32(Float16(w >> 32)), ToFloat32(Float16(w >> 48))
+}
+
+// halfBits returns the bits of the binary16 value f holds exactly.
+func halfBits(f float32) uint16 {
+	if f != f {
+		return uint16(FromFloat32(f))
+	}
+	return narrow(f)
+}
 
 // DupSlice broadcasts s into every lane of dst.
 func DupSlice(dst []byte, s Float16) {

@@ -268,16 +268,17 @@ func TestPlanCacheMetrics(t *testing.T) {
 }
 
 // BenchmarkReplayTile times the memoized replay (Plan.Run on a primed
-// plan: the flattened trace) of one 147x147 k3s2 tile of the Im2col
-// forward and Col2im backward pooling kernels, with allocations — the
-// per-tile host cost the serving layer pays. The CI smoke step runs it
-// with -benchtime=1x.
+// plan: the flattened trace) of one 147x147 k3s2 tile of the forward
+// pooling kernels, both lowerings, and the Col2im backward ones, with
+// allocations — the per-tile host cost the serving layer pays. The CI
+// smoke step runs it with -benchtime=1x.
 func BenchmarkReplayTile(b *testing.B) {
 	p := isa.ConvParams{Ih: 147, Iw: 147, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	cache := NewPlanCache()
 	for _, pc := range planCases(p) {
 		switch pc.name {
-		case "maxpool_fwd_im2col", "avgpool_fwd_im2col", "maxpool_bwd_col2im", "avgpool_bwd_col2im":
+		case "maxpool_fwd_im2col", "avgpool_fwd_im2col", "maxpool_fwd_standard", "avgpool_fwd_standard",
+			"maxpool_bwd_col2im", "avgpool_bwd_col2im":
 		default:
 			continue
 		}

@@ -219,7 +219,8 @@ func Conv2D(in, weights *tensor.Tensor, p isa.ConvParams) *tensor.Tensor {
 							for yk := 0; yk < p.Kw; yk++ {
 								v := sampleZeroPad(in, p, ni, ic/tensor.C0, patch, xk, yk, ic%tensor.C0)
 								wv := weights.At(oc, ic, xk, yk)
-								acc += v.Float32() * wv.Float32()
+								// float32() rounds the product: no target fuses it into an FMA.
+								acc += float32(v.Float32() * wv.Float32())
 							}
 						}
 					}
@@ -258,7 +259,7 @@ func Conv2DBackwardData(grad, weights *tensor.Tensor, p isa.ConvParams, c int) *
 						var acc float32
 						for oc := 0; oc < co; oc++ {
 							g := grad.At(ni, oc/tensor.C0, pt/ow, pt%ow, oc%tensor.C0)
-							acc += g.Float32() * weights.At(oc, ci, xk, yk).Float32()
+							acc += float32(g.Float32() * weights.At(oc, ci, xk, yk).Float32())
 						}
 						cols.Set(fp16.FromFloat32(acc), ni, ci/tensor.C0, xk, yk, pt, ci%tensor.C0)
 					}
@@ -286,7 +287,7 @@ func Conv2DBackwardWeights(grad, x *tensor.Tensor, p isa.ConvParams, co, c int) 
 						for pt := 0; pt < patches; pt++ {
 							g := grad.At(n, oc/tensor.C0, pt/ow, pt%ow, oc%tensor.C0)
 							v := sampleZeroPad(x, p, n, ic/tensor.C0, pt, xk, yk, ic%tensor.C0)
-							acc += g.Float32() * v.Float32()
+							acc += float32(g.Float32() * v.Float32())
 						}
 					}
 					dw.Set(fp16.FromFloat32(acc), oc, ic, xk, yk)
