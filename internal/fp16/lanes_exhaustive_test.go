@@ -10,7 +10,7 @@ import (
 
 // The exhaustive suite checks every lane kernel against its scalar oracle
 // on all 2^32 operand pairs (every (a, s) pair for the scalar kernels),
-// and MaxFold on all 2^32 (accumulator, source) pairs.
+// and MaxFold and AddFold on all 2^32 (accumulator, source) pairs.
 // Each kernel takes tens of seconds on two CPUs, so it is gated behind a
 // build tag:
 //
