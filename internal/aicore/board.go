@@ -27,7 +27,9 @@ func newBoard(cost *isa.CostModel, serialize bool) *board {
 // constraints proposes every start-time constraint the scoreboard imposes
 // on in to tr: the standing barrier floor, the all-pipes join for barriers
 // (and for every instruction under Serialize), and the RAW/WAW/WAR hazards
-// against the recorded access history otherwise.
+// against the recorded access history otherwise. A history scan is
+// skipped when it cannot bind (see hazard), so place and startOf pay only
+// for the scans that can.
 func (b *board) constraints(in isa.Instr, tr *stallTracker) {
 	tr.propose(b.barrierFloor, StallBarrier, 0, -1)
 	_, isBarrier := in.(*isa.BarrierInstr)
@@ -40,21 +42,37 @@ func (b *board) constraints(in isa.Instr, tr *stallTracker) {
 		}
 		return
 	}
-	for _, r := range in.Reads() { // RAW
+	pipeFree := b.pipeFree[in.Pipe()]
+	reads, writes := in.Reads(), in.Writes()
+	for i := range reads.Len() { // RAW
+		r := reads.At(i)
 		bt := &b.bufs[r.Buf]
-		t, p := bt.lastOverlap(bt.writes, r)
-		tr.propose(t, StallRAW, r.Buf, p)
+		tr.hazard(bt.writes, bt.lastW, pipeFree, r, StallRAW)
 		tr.propose(bt.floorW, StallRAW, r.Buf, -1)
 	}
-	for _, w := range in.Writes() { // WAW and WAR
+	for i := range writes.Len() { // WAW and WAR
+		w := writes.At(i)
 		bt := &b.bufs[w.Buf]
-		t, p := bt.lastOverlap(bt.writes, w)
-		tr.propose(t, StallWAW, w.Buf, p)
-		t, p = bt.lastOverlap(bt.reads, w)
-		tr.propose(t, StallWAR, w.Buf, p)
+		tr.hazard(bt.writes, bt.lastW, pipeFree, w, StallWAW)
+		tr.hazard(bt.reads, bt.lastR, pipeFree, w, StallWAR)
 		tr.propose(bt.floorW, StallWAW, w.Buf, -1)
 		tr.propose(bt.floorR, StallWAR, w.Buf, -1)
 	}
+}
+
+// hazard proposes the latest access in list that overlaps r, attributed
+// to cause. last bounds every completion time in list, and pipeFree is
+// when the issuing pipe frees. The scan is skipped when last is no later
+// than the greater of pipeFree and the latest constraint proposed so far,
+// and skipping it changes nothing: propose accepts only strictly later
+// times, and a constraint at or below pipeFree resolves to pipe-busy with
+// the same start time.
+func (tr *stallTracker) hazard(list []interval, last, pipeFree int64, r isa.Region, cause StallCause) {
+	if last <= max(pipeFree, tr.t) {
+		return
+	}
+	t, p := lastOverlap(list, r)
+	tr.propose(t, cause, r.Buf, p)
 }
 
 // place issues in as instruction idx: it resolves the start time against
@@ -76,19 +94,16 @@ func (b *board) place(in isa.Instr, idx int, tr *stallTracker) (start, end int64
 		b.barrierFloor = end
 	} else {
 		// Record accesses for later hazards.
-		for _, r := range in.Reads() {
+		reads, writes := in.Reads(), in.Writes()
+		for i := range reads.Len() {
+			r := reads.At(i)
 			bt := &b.bufs[r.Buf]
-			bt.reads = append(bt.reads, interval{r.Off, r.End, end, idx})
-			if len(bt.reads) > historyCap {
-				bt.reads = foldOldest(bt.reads, &bt.floorR)
-			}
+			bt.reads = appendAccess(bt.reads, interval{r.Off, r.End, end, idx}, &bt.lastR, &bt.floorR)
 		}
-		for _, w := range in.Writes() {
+		for i := range writes.Len() {
+			w := writes.At(i)
 			bt := &b.bufs[w.Buf]
-			bt.writes = append(bt.writes, interval{w.Off, w.End, end, idx})
-			if len(bt.writes) > historyCap {
-				bt.writes = foldOldest(bt.writes, &bt.floorW)
-			}
+			bt.writes = appendAccess(bt.writes, interval{w.Off, w.End, end, idx}, &bt.lastW, &bt.floorW)
 		}
 	}
 	if end > b.cycles {

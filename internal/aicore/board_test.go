@@ -1,12 +1,16 @@
 package aicore_test
 
 import (
+	"fmt"
 	"testing"
 
 	"davinci/internal/aicore"
 	"davinci/internal/buffer"
 	"davinci/internal/cce"
 	"davinci/internal/isa"
+	"davinci/internal/kernelcases"
+	"davinci/internal/ops"
+	"davinci/internal/workloads"
 )
 
 // timingProg mixes hazards, flags and a barrier across four pipes so the
@@ -66,4 +70,52 @@ func TestBoardIncrementalMatchesTime(t *testing.T) {
 	if want := aicore.Time(prog, nil, false).Cycles; b.Cycles() != want {
 		t.Errorf("Board cycles = %d, Time = %d", b.Cycles(), want)
 	}
+}
+
+// TestScanSkipMatchesFullScan: the scoreboard skips a hazard-history scan
+// only when the scan cannot bind. For every catalogue kernel at the three
+// Fig. 7 layers, the banded k3s2 Resnet50 112x112 layer and the k2s2
+// VGG16 56x56 layer, Time's walk gives every instruction the start, end
+// and stall (cause, cycles, buffer, producer) of a scoreboard that scans
+// every history in full, and a Board's StartOf peeks the same start.
+func TestScanSkipMatchesFullScan(t *testing.T) {
+	layers := workloads.InceptionV3Fig7()
+	for _, l := range workloads.TableI {
+		if l.Network == "Resnet50" || (l.Network == "VGG16" && l.H == 56) {
+			layers = append(layers, l)
+		}
+	}
+	checked, instrs := 0, 0
+	for _, layer := range layers {
+		for _, kc := range kernelcases.All() {
+			pl, err := kc.Plan(ops.Spec{}, layer.Params())
+			if err != nil {
+				if kernelcases.IsCapacitySkip(err) {
+					continue
+				}
+				t.Fatalf("%s %dx%d: compile: %v", kc.Name, layer.H, layer.W, err)
+			}
+			name := fmt.Sprintf("%s %dx%d", kc.Name, layer.H, layer.W)
+			want := aicore.FullScanSchedule(pl.Prog, nil)
+			core := aicore.New(buffer.Config{}, nil)
+			core.Trace = &aicore.Trace{}
+			core.TraceUpTo(pl.Prog, len(pl.Prog.Instrs))
+			b := aicore.NewBoard(nil)
+			for idx, e := range core.Trace.Entries {
+				w := want[idx]
+				if e.Start != w.Start || e.End != w.End || e.Stall != w.Stall {
+					t.Fatalf("%s: instr %d (%s): walk placed [%d,%d) %v, full scan [%d,%d) %v",
+						name, idx, e.Text, e.Start, e.End, e.Stall, w.Start, w.End, w.Stall)
+				}
+				in := pl.Prog.Instrs[idx]
+				if got := b.StartOf(in); got != w.Start {
+					t.Fatalf("%s: instr %d (%s): StartOf = %d, full scan starts at %d", name, idx, e.Text, got, w.Start)
+				}
+				b.Place(in, idx)
+			}
+			checked++
+			instrs += len(want)
+		}
+	}
+	t.Logf("%d kernel x layer programs, %d instructions placed as by the full scan", checked, instrs)
 }

@@ -139,12 +139,27 @@ type interval struct {
 // resolution. Histories are bounded: old entries fold into a floor time
 // that conservatively applies to the whole buffer (by then execution has
 // advanced past it, so precision is only needed for recent accesses).
+// lastW and lastR are the latest completion times recorded in writes and
+// reads; folding drops only a list's older half, so they never fall
+// below an entry.
 type bufTimes struct {
 	writes, reads  []interval
 	floorW, floorR int64
+	lastW, lastR   int64
 }
 
 const historyCap = 96
+
+// appendAccess appends iv to list, raising *last to its completion time,
+// and folds the list's older half into *floor once it exceeds historyCap.
+func appendAccess(list []interval, iv interval, last, floor *int64) []interval {
+	list = append(list, iv)
+	*last = max(*last, iv.t)
+	if len(list) > historyCap {
+		list = foldOldest(list, floor)
+	}
+	return list
+}
 
 func foldOldest(list []interval, floor *int64) []interval {
 	// Fold the older half (by completion time) into the floor.
@@ -158,7 +173,9 @@ func foldOldest(list []interval, floor *int64) []interval {
 	return append(list[:0], list[half:]...)
 }
 
-func (b *bufTimes) lastOverlap(list []interval, r isa.Region) (int64, int) {
+// lastOverlap returns the latest completion time and instruction index of
+// the accesses in list that overlap r; (0, -1) when none does.
+func lastOverlap(list []interval, r isa.Region) (int64, int) {
 	var t int64
 	idx := -1
 	for _, iv := range list {

@@ -43,13 +43,15 @@ func (c *Core) checkSpan(r isa.Region) error {
 }
 
 func (c *Core) checkAll(in isa.Instr) error {
-	for _, r := range in.Reads() {
-		if err := c.checkSpan(r); err != nil {
-			return err
-		}
+	if err := c.checkSpans(in.Reads()); err != nil {
+		return err
 	}
-	for _, w := range in.Writes() {
-		if err := c.checkSpan(w); err != nil {
+	return c.checkSpans(in.Writes())
+}
+
+func (c *Core) checkSpans(rs isa.Regions) error {
+	for i := range rs.Len() {
+		if err := c.checkSpan(rs.At(i)); err != nil {
 			return err
 		}
 	}
@@ -63,10 +65,8 @@ func (c *Core) checkAll(in isa.Instr) error {
 func (c *Core) execVec(v *isa.VecInstr) error {
 	// Blocks past the highest enabled lane's are never accessed: the
 	// bounds rule lint and the flattened trace apply.
-	for _, r := range v.MaskSpans() {
-		if err := c.checkSpan(r); err != nil {
-			return err
-		}
+	if err := c.checkSpans(v.MaskSpans()); err != nil {
+		return err
 	}
 	dstMem := c.Mem.Mem(v.Dst.Buf)
 	var s0Mem, s1Mem []byte

@@ -235,12 +235,15 @@ func findRace(instrs []isa.Instr, start, end []int64) (consumer, producer int, e
 			}
 			return 0, false
 		}
-		for _, r := range in.Reads() { // RAW
+		inReads, inWrites := in.Reads(), in.Writes()
+		for i := range inReads.Len() { // RAW
+			r := inReads.At(i)
 			if p, bad := check(writes, r); bad {
 				return idx, p, fmt.Errorf("read of %v not ordered after write", r)
 			}
 		}
-		for _, w := range in.Writes() { // WAW, WAR
+		for i := range inWrites.Len() { // WAW, WAR
+			w := inWrites.At(i)
 			if p, bad := check(writes, w); bad {
 				return idx, p, fmt.Errorf("write of %v not ordered after write", w)
 			}
@@ -248,11 +251,11 @@ func findRace(instrs []isa.Instr, start, end []int64) (consumer, producer int, e
 				return idx, p, fmt.Errorf("write of %v not ordered after read", w)
 			}
 		}
-		for _, r := range in.Reads() {
-			reads = append(reads, access{idx, pipe, r})
+		for i := range inReads.Len() {
+			reads = append(reads, access{idx, pipe, inReads.At(i)})
 		}
-		for _, w := range in.Writes() {
-			writes = append(writes, access{idx, pipe, w})
+		for i := range inWrites.Len() {
+			writes = append(writes, access{idx, pipe, inWrites.At(i)})
 		}
 	}
 	return 0, 0, nil

@@ -60,3 +60,83 @@ func countOps(fp *FlatProgram, match func(*flatOp) bool) int {
 
 // FlatOpBytes is the in-memory size of one flattened op.
 const FlatOpBytes = unsafe.Sizeof(flatOp{})
+
+// Placement is one instruction's scheduled interval and attributed stall.
+type Placement struct {
+	Start, End int64
+	Stall      Stall
+}
+
+// FullScanSchedule places prog's instructions in program order on a
+// pipelined scoreboard whose constraint pass scans every hazard history
+// in full, as the scoreboard did before it skipped the scans that cannot
+// bind: the oracle for Time's walk and Board.StartOf.
+func FullScanSchedule(prog *cce.Program, cost *isa.CostModel) []Placement {
+	if cost == nil {
+		cost = isa.DefaultCostModel()
+	}
+	b := newBoard(cost, false)
+	out := make([]Placement, len(prog.Instrs))
+	for idx, in := range prog.Instrs {
+		tr := newStallTracker()
+		fullScanConstraints(b, in, &tr)
+		pipe := in.Pipe()
+		start := max(b.pipeFree[pipe], tr.t)
+		end := start + in.Cycles(b.cost)
+		out[idx] = Placement{Start: start, End: end, Stall: tr.resolve(b.pipeFree[pipe])}
+		b.pipeFree[pipe] = end
+		if _, isBarrier := in.(*isa.BarrierInstr); isBarrier {
+			b.barrierFloor = end
+		} else {
+			reads, writes := in.Reads(), in.Writes()
+			for i := range reads.Len() {
+				r := reads.At(i)
+				bt := &b.bufs[r.Buf]
+				bt.reads = append(bt.reads, interval{r.Off, r.End, end, idx})
+				if len(bt.reads) > historyCap {
+					bt.reads = foldOldest(bt.reads, &bt.floorR)
+				}
+			}
+			for i := range writes.Len() {
+				w := writes.At(i)
+				bt := &b.bufs[w.Buf]
+				bt.writes = append(bt.writes, interval{w.Off, w.End, end, idx})
+				if len(bt.writes) > historyCap {
+					bt.writes = foldOldest(bt.writes, &bt.floorW)
+				}
+			}
+		}
+		b.cycles = max(b.cycles, end)
+	}
+	return out
+}
+
+// fullScanConstraints is board.constraints without the scan skip.
+func fullScanConstraints(b *board, in isa.Instr, tr *stallTracker) {
+	tr.propose(b.barrierFloor, StallBarrier, 0, -1)
+	if _, isBarrier := in.(*isa.BarrierInstr); isBarrier {
+		tr.propose(b.cycles, StallBarrier, 0, -1)
+		for _, f := range b.pipeFree {
+			tr.propose(f, StallBarrier, 0, -1)
+		}
+		return
+	}
+	reads, writes := in.Reads(), in.Writes()
+	for i := range reads.Len() { // RAW
+		r := reads.At(i)
+		bt := &b.bufs[r.Buf]
+		t, p := lastOverlap(bt.writes, r)
+		tr.propose(t, StallRAW, r.Buf, p)
+		tr.propose(bt.floorW, StallRAW, r.Buf, -1)
+	}
+	for i := range writes.Len() { // WAW and WAR
+		w := writes.At(i)
+		bt := &b.bufs[w.Buf]
+		t, p := lastOverlap(bt.writes, w)
+		tr.propose(t, StallWAW, w.Buf, p)
+		t, p = lastOverlap(bt.reads, w)
+		tr.propose(t, StallWAR, w.Buf, p)
+		tr.propose(bt.floorW, StallWAW, w.Buf, -1)
+		tr.propose(bt.floorR, StallWAR, w.Buf, -1)
+	}
+}

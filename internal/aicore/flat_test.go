@@ -26,9 +26,11 @@ func entropyCore(prog *cce.Program, seed int64) *aicore.Core {
 	c := aicore.New(buffer.Config{}, nil)
 	foot := 0
 	for _, in := range prog.Instrs {
-		for _, r := range append(in.Reads(), in.Writes()...) {
-			if r.Buf == isa.GM && r.End > foot {
-				foot = r.End
+		for _, rs := range []isa.Regions{in.Reads(), in.Writes()} {
+			for i := range rs.Len() {
+				if r := rs.At(i); r.Buf == isa.GM && r.End > foot {
+					foot = r.End
+				}
 			}
 		}
 	}

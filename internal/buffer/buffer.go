@@ -97,7 +97,7 @@ func (s *Space) Used() int { return s.off }
 // Free returns the bytes still available.
 func (s *Space) Free() int { return s.size - s.off }
 
-// Data exposes the raw backing store.
+// Data exposes the raw backing store (nil in a layout).
 func (s *Space) Data() []byte { return s.data }
 
 // Alloc reserves n bytes, 32-byte aligned, and returns the address.
@@ -115,9 +115,12 @@ func (s *Space) Alloc(n int) (int, error) {
 		for addr+n > newSize {
 			newSize *= 2
 		}
-		grown := make([]byte, newSize)
-		copy(grown, s.data)
-		s.data, s.size = grown, newSize
+		if s.data != nil { // a layout (NewLayout) has no store to grow
+			grown := make([]byte, newSize)
+			copy(grown, s.data)
+			s.data = grown
+		}
+		s.size = newSize
 	}
 	s.off = addr + n
 	return addr, nil
@@ -145,15 +148,28 @@ type Set struct {
 }
 
 // NewSet builds the memory system from a config.
-func NewSet(cfg Config) *Set {
+func NewSet(cfg Config) *Set { return newSet(cfg, true) }
+
+// NewLayout builds a memory system that tracks allocation offsets and
+// capacities only, with no backing store: compilers lay out a program
+// against it without allocating the memory it will run in. Any data
+// access through it panics.
+func NewLayout(cfg Config) *Set { return newSet(cfg, false) }
+
+func newSet(cfg Config, backed bool) *Set {
 	cfg = cfg.withDefaults()
 	s := &Set{cfg: cfg}
-	s.spaces[isa.GM] = &Space{ID: isa.GM, size: cfg.GMSize, data: make([]byte, cfg.GMSize), growable: true}
-	s.spaces[isa.L1] = NewSpace(isa.L1, cfg.L1Size)
-	s.spaces[isa.L0A] = NewSpace(isa.L0A, cfg.L0ASize)
-	s.spaces[isa.L0B] = NewSpace(isa.L0B, cfg.L0BSize)
-	s.spaces[isa.L0C] = NewSpace(isa.L0C, cfg.L0CSize)
-	s.spaces[isa.UB] = NewSpace(isa.UB, cfg.UBSize)
+	sizes := [isa.NumBufs]int{
+		isa.GM: cfg.GMSize, isa.L1: cfg.L1Size, isa.L0A: cfg.L0ASize,
+		isa.L0B: cfg.L0BSize, isa.L0C: cfg.L0CSize, isa.UB: cfg.UBSize,
+	}
+	for id, size := range sizes {
+		sp := &Space{ID: isa.BufID(id), size: size, growable: id == int(isa.GM)}
+		if backed {
+			sp.data = make([]byte, size)
+		}
+		s.spaces[id] = sp
+	}
 	return s
 }
 

@@ -60,21 +60,23 @@ func AutoSync(prog *Program) *Program {
 				}
 			}
 		}
-		for _, r := range in.Reads() {
-			scan(writes, r)
+		inReads, inWrites := in.Reads(), in.Writes()
+		for i := range inReads.Len() {
+			scan(writes, inReads.At(i))
 		}
-		for _, w := range in.Writes() {
+		for i := range inWrites.Len() {
+			w := inWrites.At(i)
 			scan(writes, w)
 			scan(reads, w)
 		}
 		for _, p := range latest {
 			edges[idx] = append(edges[idx], p)
 		}
-		for _, r := range in.Reads() {
-			reads = append(reads, access{idx, pipe, r})
+		for i := range inReads.Len() {
+			reads = append(reads, access{idx, pipe, inReads.At(i)})
 		}
-		for _, w := range in.Writes() {
-			writes = append(writes, access{idx, pipe, w})
+		for i := range inWrites.Len() {
+			writes = append(writes, access{idx, pipe, inWrites.At(i)})
 		}
 	}
 

@@ -23,7 +23,6 @@ import (
 	"davinci/internal/buffer"
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
-	"davinci/internal/lint/perf"
 	"davinci/internal/obs"
 	"davinci/internal/ops"
 	"davinci/internal/opt"
@@ -199,25 +198,6 @@ func (c *Chip) PlanStats() ops.CacheStats { return c.plans.Stats() }
 // per-tile cycle histogram, GM traffic) and its plan cache's counters.
 func (c *Chip) Metrics() *obs.Registry { return c.metrics }
 
-// PlanPerf pairs a compiled plan's identity with its static performance
-// analysis (internal/lint/perf), computed once at plan time.
-type PlanPerf struct {
-	Name   string
-	Params isa.ConvParams
-	Report *perf.Report
-}
-
-// perfReports snapshots the static analysis of every plan compiled so
-// far, sorted by kernel name then parameters.
-func (c *Chip) perfReports() []PlanPerf {
-	plans := c.plans.Plans()
-	reports := make([]PlanPerf, 0, len(plans))
-	for _, pl := range plans {
-		reports = append(reports, PlanPerf{Name: pl.Name, Params: pl.Params, Report: pl.Perf})
-	}
-	return reports
-}
-
 // corePool keeps the host cores that finished a run clean, so the next
 // run reuses them instead of allocating and zeroing ~2.7 MB of
 // scratch-pads and global memory per worker. It holds at most GOMAXPROCS
@@ -273,10 +253,6 @@ type Stats struct {
 	// Plans snapshots the chip's cumulative plan-cache counters at the
 	// end of the run (compiled programs, cache hits, misses).
 	Plans ops.CacheStats
-	// Perf holds the static performance analysis of every plan compiled
-	// through the chip's cache so far, sorted by kernel name then
-	// parameters.
-	Perf []PlanPerf
 	// Metrics snapshots the chip's registry (tile histogram, GM traffic,
 	// plan-cache counters) at the end of the run.
 	Metrics *obs.Snapshot

@@ -239,7 +239,6 @@ func (c *Chip) runTiles(rs *runScope, prog *cce.Program, n, c1 int, run tileRun,
 	stats.Degraded = e.degraded
 	stats.Cycles = stats.Work.Cycles
 	stats.Plans = c.plans.Stats()
-	stats.Perf = c.perfReports()
 	stats.Metrics = c.metrics.Snapshot()
 	return e.results, stats, nil
 }

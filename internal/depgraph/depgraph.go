@@ -240,10 +240,11 @@ func CrossPipeDeps(prog *cce.Program) []Dep {
 			}
 		}
 		inReads, inWrites := in.Reads(), in.Writes()
-		for _, r := range inReads {
-			consider(writes, ReadAfterWrite, r)
+		for i := range inReads.Len() {
+			consider(writes, ReadAfterWrite, inReads.At(i))
 		}
-		for _, w := range inWrites {
+		for i := range inWrites.Len() {
+			w := inWrites.At(i)
 			consider(writes, WriteAfterWrite, w)
 			consider(reads, WriteAfterRead, w)
 		}
@@ -252,11 +253,11 @@ func CrossPipeDeps(prog *cce.Program) []Dep {
 				deps = append(deps, *d)
 			}
 		}
-		for _, r := range inReads {
-			reads = append(reads, access{idx, pipe, r})
+		for i := range inReads.Len() {
+			reads = append(reads, access{idx, pipe, inReads.At(i)})
 		}
-		for _, w := range inWrites {
-			writes = append(writes, access{idx, pipe, w})
+		for i := range inWrites.Len() {
+			writes = append(writes, access{idx, pipe, inWrites.At(i)})
 		}
 	}
 	return deps
@@ -336,13 +337,14 @@ func Conflicts(prog *cce.Program, budget int) (preds [][]int32, err error) {
 			byBuf[r.Buf] = append(list, access{j, write, r.Off, r.End})
 			return true
 		}
-		for _, r := range in.Reads() {
-			if !scan(r, false) {
+		reads, writes := in.Reads(), in.Writes()
+		for i := range reads.Len() {
+			if !scan(reads.At(i), false) {
 				return nil, &BudgetError{Budget: total, Instr: idx, Instrs: len(prog.Instrs)}
 			}
 		}
-		for _, w := range in.Writes() {
-			if !scan(w, true) {
+		for i := range writes.Len() {
+			if !scan(writes.At(i), true) {
 				return nil, &BudgetError{Budget: total, Instr: idx, Instrs: len(prog.Instrs)}
 			}
 		}

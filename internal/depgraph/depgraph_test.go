@@ -120,20 +120,18 @@ func TestConflictsMatchesBruteForce(t *testing.T) {
 		for i := 0; i < j; i++ {
 			prod := prog.Instrs[i]
 			conflict := false
-			for _, w := range prod.Writes() {
-				for _, r := range append(cons.Reads(), cons.Writes()...) {
-					if overlap(w, r) {
-						conflict = true
+			overlapping := func(a, b isa.Regions) {
+				for x := range a.Len() {
+					for y := range b.Len() {
+						if overlap(a.At(x), b.At(y)) {
+							conflict = true
+						}
 					}
 				}
 			}
-			for _, r := range prod.Reads() {
-				for _, w := range cons.Writes() {
-					if overlap(r, w) {
-						conflict = true
-					}
-				}
-			}
+			overlapping(prod.Writes(), cons.Reads())
+			overlapping(prod.Writes(), cons.Writes())
+			overlapping(prod.Reads(), cons.Writes())
 			if conflict && !seen[int32(i)] {
 				seen[int32(i)] = true
 				want[j] = append(want[j], int32(i))

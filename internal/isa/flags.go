@@ -22,11 +22,11 @@ func (s *SetFlagInstr) Pipe() Pipe { return s.SrcPipe }
 // Cycles returns the flag cost.
 func (s *SetFlagInstr) Cycles(c *CostModel) int64 { return c.Flag }
 
-// Reads returns nil.
-func (s *SetFlagInstr) Reads() []Region { return nil }
+// Reads returns no region.
+func (s *SetFlagInstr) Reads() Regions { return Regions{} }
 
-// Writes returns nil.
-func (s *SetFlagInstr) Writes() []Region { return nil }
+// Writes returns no region.
+func (s *SetFlagInstr) Writes() Regions { return Regions{} }
 
 // Validate checks the pipe pair and event id.
 func (s *SetFlagInstr) Validate() error { return validateFlag(s.SrcPipe, s.DstPipe, s.Event) }
@@ -50,11 +50,11 @@ func (w *WaitFlagInstr) Pipe() Pipe { return w.DstPipe }
 // schedule).
 func (w *WaitFlagInstr) Cycles(c *CostModel) int64 { return c.Flag }
 
-// Reads returns nil.
-func (w *WaitFlagInstr) Reads() []Region { return nil }
+// Reads returns no region.
+func (w *WaitFlagInstr) Reads() Regions { return Regions{} }
 
-// Writes returns nil.
-func (w *WaitFlagInstr) Writes() []Region { return nil }
+// Writes returns no region.
+func (w *WaitFlagInstr) Writes() Regions { return Regions{} }
 
 // Validate checks the pipe pair and event id.
 func (w *WaitFlagInstr) Validate() error { return validateFlag(w.SrcPipe, w.DstPipe, w.Event) }

@@ -146,6 +146,41 @@ func (r Region) String() string {
 	return fmt.Sprintf("%v[%d:%d)", r.Buf, r.Off, r.End)
 }
 
+// MaxRegions is the most byte ranges one instruction reads or writes: an
+// accumulating mmad reads three.
+const MaxRegions = 3
+
+// Regions is an instruction's read or write set, held by value so that
+// asking for it allocates nothing. Each region's fields are stored apart,
+// with the buffer ID (one of the NumBufs address spaces) in 32 bits, which
+// keeps the value at 64 bytes: small enough to return and copy without a
+// call to the runtime.
+type Regions struct {
+	off, end [MaxRegions]int
+	buf      [MaxRegions]int32
+	n        int32
+}
+
+// Len returns the number of regions.
+func (rs Regions) Len() int { return int(rs.n) }
+
+// At returns region i, 0 <= i < Len().
+func (rs Regions) At(i int) Region {
+	return Region{Buf: BufID(rs.buf[i]), Off: rs.off[i], End: rs.end[i]}
+}
+
+// add appends r.
+func (rs *Regions) add(r Region) {
+	rs.off[rs.n], rs.end[rs.n], rs.buf[rs.n] = r.Off, r.End, int32(r.Buf)
+	rs.n++
+}
+
+// one returns the set holding only r.
+func one(r Region) (rs Regions) {
+	rs.add(r)
+	return rs
+}
+
 // Instr is one AI Core instruction. Implementations are the *Instr structs
 // in this package.
 type Instr interface {
@@ -154,9 +189,9 @@ type Instr interface {
 	// Cycles returns the cost charged by the timing model.
 	Cycles(c *CostModel) int64
 	// Reads returns conservative source byte ranges for hazard tracking.
-	Reads() []Region
+	Reads() Regions
 	// Writes returns conservative destination byte ranges.
-	Writes() []Region
+	Writes() Regions
 	// Validate reports structural problems (bad strides, repeat counts).
 	Validate() error
 	// String renders a compact trace line.

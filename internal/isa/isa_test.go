@@ -188,12 +188,12 @@ func TestVecInstrCostAndRegions(t *testing.T) {
 	if got := v.Cycles(cm); got != cm.VecIssue+10*cm.VecPerRepeat {
 		t.Errorf("Cycles = %d", got)
 	}
-	if got := len(v.Reads()); got != 2 {
+	if got := v.Reads().Len(); got != 2 {
 		t.Errorf("binary reads %d regions", got)
 	}
 	w := v.Writes()
-	if len(w) != 1 || w[0].Off != 0 || w[0].End != 10*256 {
-		t.Errorf("writes %v", w)
+	if w.Len() != 1 || w.At(0).Off != 0 || w.At(0).End != 10*256 {
+		t.Errorf("writes %d regions, first %v", w.Len(), w.At(0))
 	}
 	// A masked instruction costs the same as a saturated one: the whole
 	// point of the paper.
@@ -250,7 +250,7 @@ func TestCopyInstrCostScalesWithBytes(t *testing.T) {
 	if burst.Cycles(cm) <= (&CopyInstr{SrcBuf: GM, DstBuf: UB, NBurst: 1, BurstBytes: 64 * 4096}).Cycles(cm) {
 		t.Error("bursty copies must pay descriptor overhead")
 	}
-	r := burst.Reads()[0]
+	r := burst.Reads().At(0)
 	if r.End-r.Off != 64*4096+63*128 {
 		t.Errorf("burst read span %v", r)
 	}
@@ -342,11 +342,11 @@ func TestMmadCost(t *testing.T) {
 	if mm.Pipe() != PipeCube {
 		t.Error("mmad pipe")
 	}
-	if len(mm.Reads()) != 2 {
+	if mm.Reads().Len() != 2 {
 		t.Error("non-accumulating mmad must not read C")
 	}
 	mm.Accumulate = true
-	if len(mm.Reads()) != 3 {
+	if mm.Reads().Len() != 3 {
 		t.Error("accumulating mmad must read C")
 	}
 }

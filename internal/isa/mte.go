@@ -49,15 +49,15 @@ func (m *CopyInstr) Cycles(c *CostModel) int64 {
 }
 
 // Reads returns the source span.
-func (m *CopyInstr) Reads() []Region {
+func (m *CopyInstr) Reads() Regions {
 	end := m.SrcAddr + m.NBurst*m.BurstBytes + (m.NBurst-1)*m.SrcGap
-	return []Region{{Buf: m.SrcBuf, Off: m.SrcAddr, End: end}}
+	return one(Region{Buf: m.SrcBuf, Off: m.SrcAddr, End: end})
 }
 
 // Writes returns the destination span.
-func (m *CopyInstr) Writes() []Region {
+func (m *CopyInstr) Writes() Regions {
 	end := m.DstAddr + m.NBurst*m.BurstBytes + (m.NBurst-1)*m.DstGap
-	return []Region{{Buf: m.DstBuf, Off: m.DstAddr, End: end}}
+	return one(Region{Buf: m.DstBuf, Off: m.DstAddr, End: end})
 }
 
 // Validate checks structural constraints.
@@ -97,13 +97,13 @@ func (m *ConvCopyInstr) Cycles(c *CostModel) int64 {
 }
 
 // Reads returns the fp32 source span.
-func (m *ConvCopyInstr) Reads() []Region {
-	return []Region{{Buf: L0C, Off: m.SrcAddr, End: m.SrcAddr + m.Elems*4}}
+func (m *ConvCopyInstr) Reads() Regions {
+	return one(Region{Buf: L0C, Off: m.SrcAddr, End: m.SrcAddr + m.Elems*4})
 }
 
 // Writes returns the fp16 destination span.
-func (m *ConvCopyInstr) Writes() []Region {
-	return []Region{{Buf: UB, Off: m.DstAddr, End: m.DstAddr + m.Elems*2}}
+func (m *ConvCopyInstr) Writes() Regions {
+	return one(Region{Buf: UB, Off: m.DstAddr, End: m.DstAddr + m.Elems*2})
 }
 
 // Validate checks structural constraints.
@@ -131,11 +131,11 @@ func (s *ScalarInstr) Pipe() Pipe { return PipeScalar }
 // Cycles charges ScalarOp per operation.
 func (s *ScalarInstr) Cycles(c *CostModel) int64 { return int64(s.Ops) * c.ScalarOp }
 
-// Reads returns nil.
-func (s *ScalarInstr) Reads() []Region { return nil }
+// Reads returns no region.
+func (s *ScalarInstr) Reads() Regions { return Regions{} }
 
-// Writes returns nil.
-func (s *ScalarInstr) Writes() []Region { return nil }
+// Writes returns no region.
+func (s *ScalarInstr) Writes() Regions { return Regions{} }
 
 // Validate checks structural constraints.
 func (s *ScalarInstr) Validate() error {
@@ -157,11 +157,12 @@ func (b *BarrierInstr) Pipe() Pipe { return PipeScalar }
 // Cycles returns the barrier cost.
 func (b *BarrierInstr) Cycles(c *CostModel) int64 { return c.Barrier }
 
-// Reads returns nil; barriers are handled specially by the scheduler.
-func (b *BarrierInstr) Reads() []Region { return nil }
+// Reads returns no region; barriers are handled specially by the
+// scheduler.
+func (b *BarrierInstr) Reads() Regions { return Regions{} }
 
-// Writes returns nil.
-func (b *BarrierInstr) Writes() []Region { return nil }
+// Writes returns no region.
+func (b *BarrierInstr) Writes() Regions { return Regions{} }
 
 // Validate always succeeds.
 func (b *BarrierInstr) Validate() error { return nil }

@@ -69,12 +69,12 @@ func (im *Im2ColInstr) Cycles(c *CostModel) int64 {
 // Im2Col loads with the MTE2 transfer filling later L1 rows. Mode 0 walks
 // kernel positions and c1 slices, so it conservatively claims the whole
 // tile.
-func (im *Im2ColInstr) Reads() []Region {
+func (im *Im2ColInstr) Reads() Regions {
 	rowBytes := im.P.Iw * FractalC0 * 2
 	rows := im.EffRows()
 	if im.RepeatMode != Im2ColRepeatPatches {
 		size := im.C1Len * rows * rowBytes
-		return []Region{{Buf: im.SrcBuf, Off: im.SrcAddr, End: im.SrcAddr + size}}
+		return one(Region{Buf: im.SrcBuf, Off: im.SrcAddr, End: im.SrcAddr + size})
 	}
 	_, ow := im.P.OutDims()
 	pEnd := im.Patch0 + im.Repeat*FractalPatches
@@ -90,12 +90,12 @@ func (im *Im2ColInstr) Reads() []Region {
 		hi = im.RowBase + rows
 	}
 	base := im.SrcAddr + (im.C1Idx*rows-im.RowBase)*rowBytes
-	return []Region{{Buf: im.SrcBuf, Off: base + lo*rowBytes, End: base + hi*rowBytes}}
+	return one(Region{Buf: im.SrcBuf, Off: base + lo*rowBytes, End: base + hi*rowBytes})
 }
 
 // Writes returns the contiguous fractal output span.
-func (im *Im2ColInstr) Writes() []Region {
-	return []Region{{Buf: im.DstBuf, Off: im.DstAddr, End: im.DstAddr + im.Repeat*FractalBytes}}
+func (im *Im2ColInstr) Writes() Regions {
+	return one(Region{Buf: im.DstBuf, Off: im.DstAddr, End: im.DstAddr + im.Repeat*FractalBytes})
 }
 
 // Validate checks structural constraints.
@@ -178,18 +178,17 @@ func (ci *Col2ImInstr) Cycles(c *CostModel) int64 {
 
 // Reads returns the input fractal span plus the destination tile (it is a
 // read-modify-write).
-func (ci *Col2ImInstr) Reads() []Region {
+func (ci *Col2ImInstr) Reads() (rs Regions) {
 	size := ci.C1Len * ci.EffRows() * ci.P.Iw * FractalC0 * 2
-	return []Region{
-		{Buf: ci.SrcBuf, Off: ci.SrcAddr, End: ci.SrcAddr + ci.Repeat*FractalBytes},
-		{Buf: ci.DstBuf, Off: ci.DstAddr, End: ci.DstAddr + size},
-	}
+	rs.add(Region{Buf: ci.SrcBuf, Off: ci.SrcAddr, End: ci.SrcAddr + ci.Repeat*FractalBytes})
+	rs.add(Region{Buf: ci.DstBuf, Off: ci.DstAddr, End: ci.DstAddr + size})
+	return rs
 }
 
 // Writes returns the destination tile span.
-func (ci *Col2ImInstr) Writes() []Region {
+func (ci *Col2ImInstr) Writes() Regions {
 	size := ci.C1Len * ci.EffRows() * ci.P.Iw * FractalC0 * 2
-	return []Region{{Buf: ci.DstBuf, Off: ci.DstAddr, End: ci.DstAddr + size}}
+	return one(Region{Buf: ci.DstBuf, Off: ci.DstAddr, End: ci.DstAddr + size})
 }
 
 // Validate checks structural constraints.
@@ -243,20 +242,18 @@ func (mm *MmadInstr) Cycles(c *CostModel) int64 {
 }
 
 // Reads returns the operand spans (plus C when accumulating).
-func (mm *MmadInstr) Reads() []Region {
-	r := []Region{
-		{Buf: L0A, Off: mm.AAddr, End: mm.AAddr + mm.M*mm.K*FractalBytes},
-		{Buf: L0B, Off: mm.BAddr, End: mm.BAddr + mm.K*mm.N*FractalBytes},
-	}
+func (mm *MmadInstr) Reads() (rs Regions) {
+	rs.add(Region{Buf: L0A, Off: mm.AAddr, End: mm.AAddr + mm.M*mm.K*FractalBytes})
+	rs.add(Region{Buf: L0B, Off: mm.BAddr, End: mm.BAddr + mm.K*mm.N*FractalBytes})
 	if mm.Accumulate {
-		r = append(r, Region{Buf: L0C, Off: mm.CAddr, End: mm.CAddr + mm.M*mm.N*FractalPatches*FractalC0*4})
+		rs.add(Region{Buf: L0C, Off: mm.CAddr, End: mm.CAddr + mm.M*mm.N*FractalPatches*FractalC0*4})
 	}
-	return r
+	return rs
 }
 
 // Writes returns the fp32 accumulator span.
-func (mm *MmadInstr) Writes() []Region {
-	return []Region{{Buf: L0C, Off: mm.CAddr, End: mm.CAddr + mm.M*mm.N*FractalPatches*FractalC0*4}}
+func (mm *MmadInstr) Writes() Regions {
+	return one(Region{Buf: L0C, Off: mm.CAddr, End: mm.CAddr + mm.M*mm.N*FractalPatches*FractalC0*4})
 }
 
 // Validate checks structural constraints.
@@ -308,14 +305,14 @@ func (tr *TransposeInstr) Cycles(c *CostModel) int64 {
 }
 
 // Reads returns the contiguous source span.
-func (tr *TransposeInstr) Reads() []Region {
-	return []Region{{Buf: tr.SrcBuf, Off: tr.SrcAddr, End: tr.SrcAddr + tr.Repeat*FractalBytes}}
+func (tr *TransposeInstr) Reads() Regions {
+	return one(Region{Buf: tr.SrcBuf, Off: tr.SrcAddr, End: tr.SrcAddr + tr.Repeat*FractalBytes})
 }
 
 // Writes returns the strided destination span.
-func (tr *TransposeInstr) Writes() []Region {
+func (tr *TransposeInstr) Writes() Regions {
 	end := tr.DstAddr + (tr.Repeat-1)*tr.EffDstStride() + FractalBytes
-	return []Region{{Buf: tr.DstBuf, Off: tr.DstAddr, End: end}}
+	return one(Region{Buf: tr.DstBuf, Off: tr.DstAddr, End: end})
 }
 
 // Validate checks structural constraints.

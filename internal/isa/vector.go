@@ -155,41 +155,41 @@ func (v *VecInstr) strided() bool {
 	return v.Op.IsBinary() && v.Src1.BlkStride > 1
 }
 
-// Reads returns the source spans.
-func (v *VecInstr) Reads() []Region {
-	switch {
-	case v.Op.IsBinary():
-		return []Region{v.Src0.Span(v.Repeat), v.Src1.Span(v.Repeat)}
-	case v.Op.IsUnary():
-		return []Region{v.Src0.Span(v.Repeat)}
-	default: // VDup
-		return nil
+// Reads returns the source spans (none for VDup).
+func (v *VecInstr) Reads() (rs Regions) {
+	if v.Op.IsBinary() || v.Op.IsUnary() {
+		rs.add(v.Src0.Span(v.Repeat))
 	}
+	if v.Op.IsBinary() {
+		rs.add(v.Src1.Span(v.Repeat))
+	}
+	return rs
 }
 
 // Writes returns the destination span.
-func (v *VecInstr) Writes() []Region { return []Region{v.Dst.Span(v.Repeat)} }
+func (v *VecInstr) Writes() Regions { return one(v.Dst.Span(v.Repeat)) }
 
 // MaskSpans returns the mask span (Operand.MaskSpan) of every operand the
 // op accesses, destination first: the bytes the instruction can touch,
 // which lint, the interpreter and the flattened trace bound. An all-zero
 // mask touches nothing. Reads and Writes stay conservative (eight blocks
 // per repeat), since the scoreboard's hazards are defined on them.
-func (v *VecInstr) MaskSpans() []Region {
-	ops := []Operand{v.Dst, v.Src0, v.Src1}
-	switch {
-	case v.Op.IsUnary():
-		ops = ops[:2]
-	case !v.Op.IsBinary():
-		ops = ops[:1]
+func (v *VecInstr) MaskSpans() (rs Regions) {
+	rs.addMaskSpan(v.Dst, v.Mask, v.Repeat)
+	if v.Op.IsBinary() || v.Op.IsUnary() {
+		rs.addMaskSpan(v.Src0, v.Mask, v.Repeat)
 	}
-	var rs []Region
-	for _, o := range ops {
-		if r, ok := o.MaskSpan(v.Mask, v.Repeat); ok {
-			rs = append(rs, r)
-		}
+	if v.Op.IsBinary() {
+		rs.addMaskSpan(v.Src1, v.Mask, v.Repeat)
 	}
 	return rs
+}
+
+// addMaskSpan appends o's mask span when o is accessed under m.
+func (rs *Regions) addMaskSpan(o Operand, m Mask, repeat int) {
+	if r, ok := o.MaskSpan(m, repeat); ok {
+		rs.add(r)
+	}
 }
 
 // Validate checks structural constraints.

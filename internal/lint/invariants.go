@@ -33,7 +33,7 @@ func checkInvariants(prog *cce.Program) []Diagnostic {
 			diags = append(diags, checkVecOverlap(idx, v)...)
 		case *isa.CopyInstr:
 			if v.SrcBuf == v.DstBuf {
-				src, dst := v.Reads()[0], v.Writes()[0]
+				src, dst := v.Reads().At(0), v.Writes().At(0)
 				if src.Overlaps(dst) {
 					diags = append(diags, Diagnostic{
 						Pass: "invariants", Sev: SevError, Index: idx, Instr: in.String(), Region: dst,
@@ -113,8 +113,8 @@ func denseWrite(in isa.Instr) bool {
 // earlier stores; reads of any shape keep a store live.
 func checkDeadStores(prog *cce.Program) []Diagnostic {
 	n := len(prog.Instrs)
-	reads := make([][]isa.Region, n)
-	writes := make([][]isa.Region, n)
+	reads := make([]isa.Regions, n)
+	writes := make([]isa.Regions, n)
 	for idx, in := range prog.Instrs {
 		// A zero-mask vector op writes nothing; its declared write region
 		// would otherwise shadow earlier stores and self-report as dead
@@ -126,25 +126,30 @@ func checkDeadStores(prog *cce.Program) []Diagnostic {
 		writes[idx] = in.Writes()
 	}
 	var diags []Diagnostic
+	// remaining holds the unshadowed part of the store under test; spare
+	// takes each subtraction's result, and the two swap.
+	var remaining, spare []span
 	for i := 0; i < n; i++ {
-		for _, w := range writes[i] {
+		for k := range writes[i].Len() {
+			w := writes[i].At(k)
 			if w.Buf == isa.GM || w.Off >= w.End {
 				continue
 			}
-			remaining := []span{{w.Off, w.End}}
+			remaining = append(remaining[:0], span{w.Off, w.End})
 			live, dead, deadAt := false, false, -1
 		scan:
 			for j := i + 1; j < n; j++ {
-				for _, r := range reads[j] {
-					if r.Buf == w.Buf && overlapsAny(remaining, r.Off, r.End) {
+				for m := range reads[j].Len() {
+					if r := reads[j].At(m); r.Buf == w.Buf && overlapsAny(remaining, r.Off, r.End) {
 						live = true
 						break scan
 					}
 				}
 				if denseWrite(prog.Instrs[j]) {
-					for _, ww := range writes[j] {
-						if ww.Buf == w.Buf {
-							remaining = subtract(remaining, ww.Off, ww.End)
+					for m := range writes[j].Len() {
+						if ww := writes[j].At(m); ww.Buf == w.Buf {
+							spare = subtract(spare[:0], remaining, ww.Off, ww.End)
+							remaining, spare = spare, remaining
 						}
 					}
 				}
@@ -179,9 +184,9 @@ func overlapsAny(spans []span, off, end int) bool {
 	return false
 }
 
-// subtract removes [off, end) from every span, keeping the remainders.
-func subtract(spans []span, off, end int) []span {
-	out := make([]span, 0, len(spans))
+// subtract removes [off, end) from every span, appending the remainders
+// to out, which must not share spans' backing array.
+func subtract(out, spans []span, off, end int) []span {
 	for _, s := range spans {
 		if s.end <= off || end <= s.off { // disjoint
 			out = append(out, s)

@@ -240,15 +240,15 @@ func TestInvariantsMultiError(t *testing.T) {
 }
 
 func TestSubtract(t *testing.T) {
-	got := subtract([]span{{0, 100}}, 40, 60)
+	got := subtract(nil, []span{{0, 100}}, 40, 60)
 	want := []span{{0, 40}, {60, 100}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("subtract middle = %v", got)
 	}
-	if got := subtract([]span{{0, 10}, {20, 30}}, 5, 25); len(got) != 2 || got[0] != (span{0, 5}) || got[1] != (span{25, 30}) {
+	if got := subtract(nil, []span{{0, 10}, {20, 30}}, 5, 25); len(got) != 2 || got[0] != (span{0, 5}) || got[1] != (span{25, 30}) {
 		t.Errorf("subtract across = %v", got)
 	}
-	if got := subtract([]span{{0, 10}}, 0, 10); len(got) != 0 {
+	if got := subtract(nil, []span{{0, 10}}, 0, 10); len(got) != 0 {
 		t.Errorf("subtract all = %v", got)
 	}
 }

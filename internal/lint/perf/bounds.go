@@ -45,12 +45,14 @@ func upperBound(instrs []isa.Instr, cost *isa.CostModel) int64 {
 				tokens[k] = q[1:]
 			}
 		default:
-			for _, r := range in.Reads() {
-				if t := bufW[r.Buf]; t > start {
+			reads, writes := in.Reads(), in.Writes()
+			for i := range reads.Len() {
+				if t := bufW[reads.At(i).Buf]; t > start {
 					start = t
 				}
 			}
-			for _, w := range in.Writes() {
+			for i := range writes.Len() {
+				w := writes.At(i)
 				if t := bufW[w.Buf]; t > start {
 					start = t
 				}
@@ -73,14 +75,15 @@ func upperBound(instrs []isa.Instr, cost *isa.CostModel) int64 {
 			k := flagKey{v.SrcPipe, v.DstPipe, v.Event}
 			tokens[k] = append(tokens[k], end)
 		default:
-			for _, r := range in.Reads() {
-				if end > bufR[r.Buf] {
-					bufR[r.Buf] = end
+			reads, writes := in.Reads(), in.Writes()
+			for i := range reads.Len() {
+				if b := reads.At(i).Buf; end > bufR[b] {
+					bufR[b] = end
 				}
 			}
-			for _, w := range in.Writes() {
-				if end > bufW[w.Buf] {
-					bufW[w.Buf] = end
+			for i := range writes.Len() {
+				if b := writes.At(i).Buf; end > bufW[b] {
+					bufW[b] = end
 				}
 			}
 		}

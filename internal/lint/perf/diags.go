@@ -163,21 +163,23 @@ func deadBarriers(prog *cce.Program) []lint.Diagnostic {
 		return nil
 	}
 	var barriers []int
-	var accs []access
 	for i, in := range prog.Instrs {
 		if _, ok := in.(*isa.BarrierInstr); ok {
 			barriers = append(barriers, i)
-			continue
-		}
-		for _, r := range in.Reads() {
-			accs = append(accs, access{i, in.Pipe(), false, r})
-		}
-		for _, w := range in.Writes() {
-			accs = append(accs, access{i, in.Pipe(), true, w})
 		}
 	}
 	if len(barriers) == 0 {
 		return nil
+	}
+	var accs []access
+	for i, in := range prog.Instrs {
+		reads, writes := in.Reads(), in.Writes()
+		for k := range reads.Len() {
+			accs = append(accs, access{i, in.Pipe(), false, reads.At(k)})
+		}
+		for k := range writes.Len() {
+			accs = append(accs, access{i, in.Pipe(), true, writes.At(k)})
+		}
 	}
 	// A barrier is live iff some cross-pipe conflicting pair spans it.
 	live := make(map[int]bool, len(barriers))

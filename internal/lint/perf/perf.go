@@ -178,6 +178,15 @@ func Analyze(prog *cce.Program, opts Options) *Report {
 	return r
 }
 
+// reach raises each buffer's footprint to the end of every region of rs.
+func (r *Report) reach(rs isa.Regions) {
+	for i := range rs.Len() {
+		if reg := rs.At(i); reg.End > r.Footprint[reg.Buf] {
+			r.Footprint[reg.Buf] = reg.End
+		}
+	}
+}
+
 // collect fills the order-independent metrics in one pass.
 func collect(r *Report, prog *cce.Program, cost *isa.CostModel) {
 	for _, in := range prog.Instrs {
@@ -186,16 +195,8 @@ func collect(r *Report, prog *cce.Program, cost *isa.CostModel) {
 		r.PipeBusy[pipe] += c
 		r.PipeInstrs[pipe]++
 		r.SerialCycles += c
-		for _, reg := range in.Reads() {
-			if reg.End > r.Footprint[reg.Buf] {
-				r.Footprint[reg.Buf] = reg.End
-			}
-		}
-		for _, reg := range in.Writes() {
-			if reg.End > r.Footprint[reg.Buf] {
-				r.Footprint[reg.Buf] = reg.End
-			}
-		}
+		r.reach(in.Reads())
+		r.reach(in.Writes())
 		switch v := in.(type) {
 		case *isa.VecInstr:
 			r.Vector.Instrs++

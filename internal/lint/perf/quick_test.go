@@ -79,14 +79,16 @@ func swappable(a, b isa.Instr) bool {
 		return false
 	}
 	conflicts := func(x, y isa.Instr) bool {
-		for _, w := range x.Writes() {
-			for _, r := range y.Reads() {
-				if w.Overlaps(r) {
+		xw, yr, yw := x.Writes(), y.Reads(), y.Writes()
+		for i := range xw.Len() {
+			w := xw.At(i)
+			for k := range yr.Len() {
+				if w.Overlaps(yr.At(k)) {
 					return true
 				}
 			}
-			for _, ww := range y.Writes() {
-				if w.Overlaps(ww) {
+			for k := range yw.Len() {
+				if w.Overlaps(yw.At(k)) {
 					return true
 				}
 			}

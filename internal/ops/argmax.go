@@ -29,10 +29,10 @@ func planMaxPoolFwdArgmaxIm2col(spec Spec, p isa.ConvParams, sp ScheduleParams) 
 	if err != nil {
 		return nil, err
 	}
-	core := b.core
+	mem := b.mem
 	kk := p.Kh * p.Kw
 	padded := p.PaddedPatches()
-	maskGM, err := core.Mem.Space(isa.GM).Alloc(kk * padded * Block)
+	maskGM, err := mem.Space(isa.GM).Alloc(kk * padded * Block)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func planMaxPoolFwdArgmaxStandard(spec Spec, p isa.ConvParams, sp ScheduleParams
 		return nil, err
 	}
 	b := newPlanner(name, spec, p)
-	core := b.core
+	mem := b.mem
 	pp := foldPadding(p)
 	oh, ow := pp.OutDims()
 	inRowB := pp.Iw * Block
@@ -112,7 +112,7 @@ func planMaxPoolFwdArgmaxStandard(spec Spec, p isa.ConvParams, sp ScheduleParams
 	kk := pp.Kh * pp.Kw
 	padded := p.PaddedPatches()
 
-	gm := core.Mem.Space(isa.GM)
+	gm := mem.Space(isa.GM)
 	inGM, err := b.input(pp.Ih * inRowB)
 	if err != nil {
 		return nil, err
@@ -140,13 +140,13 @@ func planMaxPoolFwdArgmaxStandard(spec Spec, p isa.ConvParams, sp ScheduleParams
 	}
 
 	inRows := func(b int) int { return (b-1)*pp.Sh + pp.Kh }
-	band, buffers, err := resolveBand(name, pp, ubAvail(core), oh, sp, func(b, n int) int {
+	band, buffers, err := resolveBand(name, pp, ubAvail(mem), oh, sp, func(b, n int) int {
 		return n * (inRows(b)*inRowB + b*outRowB + kk*b*outRowB)
 	})
 	if err != nil {
 		return nil, err
 	}
-	ub := core.Mem.Space(isa.UB)
+	ub := mem.Space(isa.UB)
 	var inUB, outUB, maskUB [2]int
 	for i := 0; i < buffers; i++ {
 		inUB[i] = ub.MustAlloc(inRows(band) * inRowB)

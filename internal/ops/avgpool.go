@@ -46,7 +46,7 @@ func planAvgPoolBackward(spec Spec, p isa.ConvParams, useCol2im bool, sp Schedul
 		return nil, err
 	}
 	b := newPlanner(name, spec, p)
-	core := b.core
+	mem := b.mem
 	oh, ow := p.OutDims()
 	patches := p.Patches()
 	fracs := p.Fractals()
@@ -54,7 +54,7 @@ func planAvgPoolBackward(spec Spec, p isa.ConvParams, useCol2im bool, sp Schedul
 	if err != nil {
 		return nil, err
 	}
-	outGM, err := core.Mem.Space(isa.GM).Alloc(p.Ih * p.Iw * Block)
+	outGM, err := mem.Space(isa.GM).Alloc(p.Ih * p.Iw * Block)
 	if err != nil {
 		return nil, err
 	}
@@ -63,13 +63,13 @@ func planAvgPoolBackward(spec Spec, p isa.ConvParams, useCol2im bool, sp Schedul
 		patchRows := (b*isa.FractalPatches+ow-1)/ow + 1
 		return min(p.Ih, (patchRows-1)*p.Sh+p.Kh)
 	}
-	band, buffers, err := resolveBand(name, p, ubAvail(core), fracs, sp, func(b, n int) int {
+	band, buffers, err := resolveBand(name, p, ubAvail(mem), fracs, sp, func(b, n int) int {
 		return n*b*isa.FractalBytes + rowsFor(b)*inRowB
 	})
 	if err != nil {
 		return nil, err
 	}
-	ub := core.Mem.Space(isa.UB)
+	ub := mem.Space(isa.UB)
 	var gradUB [2]int
 	for i := 0; i < buffers; i++ {
 		gradUB[i] = ub.MustAlloc(band * isa.FractalBytes)

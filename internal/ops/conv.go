@@ -51,7 +51,7 @@ func planConv2D(spec Spec, d Dims, _ ScheduleParams) (*Plan, error) {
 		return nil, err
 	}
 	b := newPlanner("conv2d_im2col_cube", spec, p)
-	core := b.core
+	mem := b.mem
 	c1 := tensor.C1Of(c)
 
 	kDim := c1 * p.Kh * p.Kw // fractal rows of the im2col matrix
@@ -62,7 +62,7 @@ func planConv2D(spec Spec, d Dims, _ ScheduleParams) (*Plan, error) {
 	inBytes := c1 * p.Ih * p.Iw * Block
 	wBytes := kDim * nDim * isa.FractalBytes
 
-	if wBytes > core.Mem.Space(isa.L0B).Free() {
+	if wBytes > mem.Space(isa.L0B).Free() {
 		return nil, errCapacity("ops: conv weights (%d bytes) exceed L0B; tile Co/C further", wBytes)
 	}
 
@@ -74,34 +74,34 @@ func planConv2D(spec Spec, d Dims, _ ScheduleParams) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	outGM, err := core.Mem.Space(isa.GM).Alloc(nDim * patches * Block)
+	outGM, err := mem.Space(isa.GM).Alloc(nDim * patches * Block)
 	if err != nil {
 		return nil, err
 	}
-	l1In, err := core.Mem.Space(isa.L1).Alloc(inBytes)
+	l1In, err := mem.Space(isa.L1).Alloc(inBytes)
 	if err != nil {
 		return nil, err
 	}
-	l1W, err := core.Mem.Space(isa.L1).Alloc(wBytes)
+	l1W, err := mem.Space(isa.L1).Alloc(wBytes)
 	if err != nil {
 		return nil, err
 	}
-	l0b := core.Mem.Space(isa.L0B).MustAlloc(wBytes)
+	l0b := mem.Space(isa.L0B).MustAlloc(wBytes)
 
 	// Patch-fractal band sized by L0A, L0C and the UB staging area.
 	const fp32Frac = isa.FractalPatches * isa.FractalC0 * 4
 	mBandMax := min(
-		core.Mem.Space(isa.L0A).Free()/(kDim*isa.FractalBytes),
-		core.Mem.Space(isa.L0C).Free()/(nDim*fp32Frac),
+		mem.Space(isa.L0A).Free()/(kDim*isa.FractalBytes),
+		mem.Space(isa.L0C).Free()/(nDim*fp32Frac),
 	)
-	mBandMax = min(mBandMax, ubAvail(core)/(nDim*isa.FractalBytes))
+	mBandMax = min(mBandMax, ubAvail(mem)/(nDim*isa.FractalBytes))
 	mBand := min(mBandMax, fracs)
 	if mBand < 1 {
 		return nil, errCapacity("ops: conv K=%d N=%d does not fit the L0 buffers; tile channels further", kDim, nDim)
 	}
-	l0a := core.Mem.Space(isa.L0A).MustAlloc(mBand * kDim * isa.FractalBytes)
-	l0c := core.Mem.Space(isa.L0C).MustAlloc(mBand * nDim * fp32Frac)
-	ubOut := core.Mem.Space(isa.UB).MustAlloc(mBand * nDim * isa.FractalBytes)
+	l0a := mem.Space(isa.L0A).MustAlloc(mBand * kDim * isa.FractalBytes)
+	l0c := mem.Space(isa.L0C).MustAlloc(mBand * nDim * fp32Frac)
+	ubOut := mem.Space(isa.UB).MustAlloc(mBand * nDim * isa.FractalBytes)
 
 	prog := cce.New("conv2d_im2col_cube")
 	prog.EmitCopy(isa.GM, inGM, isa.L1, l1In, inBytes)

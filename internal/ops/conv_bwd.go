@@ -66,7 +66,7 @@ func planConv2DBackwardData(spec Spec, d Dims, _ ScheduleParams) (*Plan, error) 
 		return nil, err
 	}
 	b := newPlanner("conv2d_bwd_data", spec, p)
-	core := b.core
+	mem := b.mem
 	_, ow := p.OutDims()
 	co1 := tensor.C1Of(co)
 	c1 := tensor.C1Of(c)
@@ -80,7 +80,7 @@ func planConv2DBackwardData(spec Spec, d Dims, _ ScheduleParams) (*Plan, error) 
 	gpadBytes := co1 * padded * Block
 	wBytes := co1 * nMM * isa.FractalBytes
 
-	if wBytes > core.Mem.Space(isa.L0B).Free() {
+	if wBytes > mem.Space(isa.L0B).Free() {
 		return nil, errCapacity("ops: conv bwd weights (%d bytes) exceed L0B; tile channels further", wBytes)
 	}
 
@@ -92,28 +92,28 @@ func planConv2DBackwardData(spec Spec, d Dims, _ ScheduleParams) (*Plan, error) 
 	if err != nil {
 		return nil, err
 	}
-	outGM, err := core.Mem.Space(isa.GM).Alloc(c1 * p.Ih * rowB)
+	outGM, err := mem.Space(isa.GM).Alloc(c1 * p.Ih * rowB)
 	if err != nil {
 		return nil, err
 	}
-	l1W, err := core.Mem.Space(isa.L1).Alloc(wBytes)
+	l1W, err := mem.Space(isa.L1).Alloc(wBytes)
 	if err != nil {
 		return nil, err
 	}
-	l0b := core.Mem.Space(isa.L0B).MustAlloc(wBytes)
+	l0b := mem.Space(isa.L0B).MustAlloc(wBytes)
 
 	// Patch-fractal band bounded by L0A, L0C and the UB (dCols staging +
 	// the multi-c1 output row band).
 	const fp32Frac = isa.FractalPatches * isa.FractalC0 * 4
 	rowsFor := func(b int) int { return rowsForFracs(p, ow, b) }
 	bandFits := func(b int) bool {
-		if b*kMM*isa.FractalBytes > core.Mem.Space(isa.L0A).Free() {
+		if b*kMM*isa.FractalBytes > mem.Space(isa.L0A).Free() {
 			return false
 		}
-		if b*nMM*fp32Frac > core.Mem.Space(isa.L0C).Free() {
+		if b*nMM*fp32Frac > mem.Space(isa.L0C).Free() {
 			return false
 		}
-		return b*nMM*isa.FractalBytes+c1*rowsFor(b)*rowB <= ubAvail(core)
+		return b*nMM*isa.FractalBytes+c1*rowsFor(b)*rowB <= ubAvail(mem)
 	}
 	mBand := 0
 	for b := 1; b <= fracs; b++ {
@@ -125,9 +125,9 @@ func planConv2DBackwardData(spec Spec, d Dims, _ ScheduleParams) (*Plan, error) 
 	if mBand == 0 {
 		return nil, errCapacity("ops: conv bwd K=%d N=%d does not fit the buffers; tile channels further", kMM, nMM)
 	}
-	l0a := core.Mem.Space(isa.L0A).MustAlloc(mBand * kMM * isa.FractalBytes)
-	l0c := core.Mem.Space(isa.L0C).MustAlloc(mBand * nMM * fp32Frac)
-	ub := core.Mem.Space(isa.UB)
+	l0a := mem.Space(isa.L0A).MustAlloc(mBand * kMM * isa.FractalBytes)
+	l0c := mem.Space(isa.L0C).MustAlloc(mBand * nMM * fp32Frac)
+	ub := mem.Space(isa.UB)
 	ubCols := ub.MustAlloc(mBand * nMM * isa.FractalBytes)
 	outRows := rowsFor(mBand)
 	ubOut := ub.MustAlloc(c1 * outRows * rowB)

@@ -25,7 +25,7 @@ func planConv2DBackwardWeights(spec Spec, d Dims, _ ScheduleParams) (*Plan, erro
 		return nil, err
 	}
 	b := newPlanner("conv2d_bwd_weights", spec, p)
-	core := b.core
+	mem := b.mem
 	_, ow := p.OutDims()
 	co1, c1 := tensor.C1Of(co), tensor.C1Of(c)
 
@@ -45,39 +45,39 @@ func planConv2DBackwardWeights(spec Spec, d Dims, _ ScheduleParams) (*Plan, erro
 	if err != nil {
 		return nil, err
 	}
-	dwGM, err := core.Mem.Space(isa.GM).Alloc(co1 * nMM * isa.FractalBytes)
+	dwGM, err := mem.Space(isa.GM).Alloc(co1 * nMM * isa.FractalBytes)
 	if err != nil {
 		return nil, err
 	}
-	l1Grad, err := core.Mem.Space(isa.L1).Alloc(gpadBytes)
+	l1Grad, err := mem.Space(isa.L1).Alloc(gpadBytes)
 	if err != nil {
 		return nil, err
 	}
-	l1X, err := core.Mem.Space(isa.L1).Alloc(xBytes)
+	l1X, err := mem.Space(isa.L1).Alloc(xBytes)
 	if err != nil {
 		return nil, err
 	}
 
 	// Patch-fractal band bounded by L0A (Co1 x band) and L0B (band x nMM);
 	// L0C holds the full Co1 x nMM accumulator.
-	if co1*nMM*fp32Frac > core.Mem.Space(isa.L0C).Free() {
+	if co1*nMM*fp32Frac > mem.Space(isa.L0C).Free() {
 		return nil, errCapacity("ops: conv dW accumulator Co1=%d N=%d exceeds L0C; tile channels further", co1, nMM)
 	}
 	mBand := min(
-		core.Mem.Space(isa.L0A).Free()/(co1*isa.FractalBytes),
-		core.Mem.Space(isa.L0B).Free()/(nMM*isa.FractalBytes),
+		mem.Space(isa.L0A).Free()/(co1*isa.FractalBytes),
+		mem.Space(isa.L0B).Free()/(nMM*isa.FractalBytes),
 	)
 	mBand = min(mBand, fracs)
 	if mBand < 1 {
 		return nil, errCapacity("ops: conv dW Co1=%d N=%d does not fit L0A/L0B; tile channels further", co1, nMM)
 	}
-	if co1*nMM*isa.FractalBytes > ubAvail(core) {
+	if co1*nMM*isa.FractalBytes > ubAvail(mem) {
 		return nil, errCapacity("ops: conv dW staging exceeds the UB; tile channels further")
 	}
-	l0a := core.Mem.Space(isa.L0A).MustAlloc(co1 * mBand * isa.FractalBytes)
-	l0b := core.Mem.Space(isa.L0B).MustAlloc(mBand * nMM * isa.FractalBytes)
-	l0c := core.Mem.Space(isa.L0C).MustAlloc(co1 * nMM * fp32Frac)
-	ubOut := core.Mem.Space(isa.UB).MustAlloc(co1 * nMM * isa.FractalBytes)
+	l0a := mem.Space(isa.L0A).MustAlloc(co1 * mBand * isa.FractalBytes)
+	l0b := mem.Space(isa.L0B).MustAlloc(mBand * nMM * isa.FractalBytes)
+	l0c := mem.Space(isa.L0C).MustAlloc(co1 * nMM * fp32Frac)
+	ubOut := mem.Space(isa.UB).MustAlloc(co1 * nMM * isa.FractalBytes)
 
 	prog := cce.New("conv2d_bwd_weights")
 	prog.EmitCopy(isa.GM, gradGM, isa.L1, l1Grad, gpadBytes)

@@ -37,7 +37,7 @@ func (pl *bwdPlan) bandRows(p isa.ConvParams, pa, pb int) (lo, hi int) {
 }
 
 // planBackward sizes the shared backward schedule against the planner's
-// scratch core, reserving the mask/grad/output global-memory layout. sp
+// buffer layout, reserving the mask/grad/output global-memory layout. sp
 // supplies the band/buffer schedule in fractal units.
 func planBackward(b *planner, p isa.ConvParams, name string, sp ScheduleParams) (*bwdPlan, error) {
 	if err := p.Validate(); err != nil {
@@ -52,7 +52,7 @@ func planBackward(b *planner, p isa.ConvParams, name string, sp ScheduleParams) 
 	if err := noKnob(name, sp.Gather, "gather"); err != nil {
 		return nil, err
 	}
-	core := b.core
+	mem := b.mem
 	pl := &bwdPlan{}
 	pl.oh, pl.ow = p.OutDims()
 	pl.patches = p.Patches()
@@ -69,7 +69,7 @@ func planBackward(b *planner, p isa.ConvParams, name string, sp ScheduleParams) 
 	}
 	// Output starts zeroed (plan replays run in freshly zeroed global
 	// memory, and Col2Im requires a zero-initialized output, §III-D).
-	if pl.outGM, err = core.Mem.Space(isa.GM).Alloc(p.Ih * p.Iw * Block); err != nil {
+	if pl.outGM, err = mem.Space(isa.GM).Alloc(p.Ih * p.Iw * Block); err != nil {
 		return nil, err
 	}
 
@@ -79,13 +79,13 @@ func planBackward(b *planner, p isa.ConvParams, name string, sp ScheduleParams) 
 		patchRows := (b*isa.FractalPatches+pl.ow-1)/pl.ow + 1
 		return min(p.Ih, (patchRows-1)*p.Sh+p.Kh)
 	}
-	pl.band, pl.buffers, err = resolveBand(name, p, ubAvail(core), pl.fracs, sp, func(b, n int) int {
+	pl.band, pl.buffers, err = resolveBand(name, p, ubAvail(mem), pl.fracs, sp, func(b, n int) int {
 		return n*(pl.kk+1)*b*isa.FractalBytes + rowsFor(b)*inRowB
 	})
 	if err != nil {
 		return nil, err
 	}
-	ub := core.Mem.Space(isa.UB)
+	ub := mem.Space(isa.UB)
 	for i := 0; i < pl.buffers; i++ {
 		pl.maskUB[i] = ub.MustAlloc(pl.kk * pl.band * isa.FractalBytes)
 		pl.gradUB[i] = ub.MustAlloc(pl.band * isa.FractalBytes)

@@ -51,7 +51,7 @@ func planDirectForward(name string, spec Spec, p isa.ConvParams, op isa.VecOp, i
 		return nil, badSchedule(name, "epilogue=%d: unknown epilogue placement", sp.Epilogue)
 	}
 	b := newPlanner(name, spec, p)
-	core := b.core
+	mem := b.mem
 	pp := foldPadding(p)
 	oh, ow := pp.OutDims()
 	inRowB := pp.Iw * Block
@@ -74,7 +74,7 @@ func planDirectForward(name string, spec Spec, p isa.ConvParams, op isa.VecOp, i
 	if err != nil {
 		return nil, err
 	}
-	outGM, err := core.Mem.Space(isa.GM).Alloc(oh * outRowB)
+	outGM, err := mem.Space(isa.GM).Alloc(oh * outRowB)
 	if err != nil {
 		return nil, err
 	}
@@ -82,13 +82,13 @@ func planDirectForward(name string, spec Spec, p isa.ConvParams, op isa.VecOp, i
 	// Row bands through rotating in/out areas: with two, the MTE2 load of
 	// the next band overlaps the vector work of the current one.
 	inRows := func(b int) int { return (b-1)*pp.Sh + pp.Kh }
-	band, buffers, err := resolveBand(name, pp, ubAvail(core), oh, sp, func(b, n int) int {
+	band, buffers, err := resolveBand(name, pp, ubAvail(mem), oh, sp, func(b, n int) int {
 		return n * (inRows(b)*inRowB + b*outRowB)
 	})
 	if err != nil {
 		return nil, err
 	}
-	ub := core.Mem.Space(isa.UB)
+	ub := mem.Space(isa.UB)
 	var inUB, outUB [2]int
 	for i := 0; i < buffers; i++ {
 		inUB[i] = ub.MustAlloc(inRows(band) * inRowB)
@@ -215,14 +215,14 @@ func patchRowRange(p isa.ConvParams, ow, patches, pa, pb int) (lo, hi int) {
 }
 
 // planIm2col sizes the shared Im2col forward schedule against the
-// planner's scratch core, reserving the input/output global-memory layout.
+// planner's buffer layout, reserving the input/output global-memory layout.
 // sp supplies the band/buffer schedule (fractal units); the L1 row-window
 // banding stays automatic but clamps an explicit band it cannot stage.
 func planIm2col(b *planner, p isa.ConvParams, name string, extraPerFrac int, sp ScheduleParams) (*im2colPlan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	core := b.core
+	mem := b.mem
 	pl := &im2colPlan{}
 	pl.oh, pl.ow = p.OutDims()
 	pl.patches = p.Patches()
@@ -233,19 +233,19 @@ func planIm2col(b *planner, p isa.ConvParams, name string, extraPerFrac int, sp 
 	if pl.inGM, err = b.input(inBytes); err != nil {
 		return nil, err
 	}
-	if pl.outGM, err = core.Mem.Space(isa.GM).Alloc(pl.patches * Block); err != nil {
+	if pl.outGM, err = mem.Space(isa.GM).Alloc(pl.patches * Block); err != nil {
 		return nil, err
 	}
 
 	perFrac := (p.Kh*p.Kw+1)*isa.FractalBytes + extraPerFrac
-	pl.band, pl.buffers, err = resolveBand(name, p, ubAvail(core), pl.fracs, sp, func(b, n int) int {
+	pl.band, pl.buffers, err = resolveBand(name, p, ubAvail(mem), pl.fracs, sp, func(b, n int) int {
 		return n * b * perFrac
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	l1 := core.Mem.Space(isa.L1)
+	l1 := mem.Space(isa.L1)
 	rowB := p.Iw * Block
 	if inBytes <= l1.Free() {
 		pl.l1Addr = l1.MustAlloc(inBytes)
@@ -278,7 +278,7 @@ func planIm2col(b *planner, p isa.ConvParams, name string, extraPerFrac int, sp 
 		}
 	}
 
-	ub := core.Mem.Space(isa.UB)
+	ub := mem.Space(isa.UB)
 	for i := 0; i < pl.buffers; i++ {
 		pl.colUB[i] = ub.MustAlloc(p.Kh * p.Kw * pl.band * isa.FractalBytes)
 		pl.outUB[i] = ub.MustAlloc(pl.band * isa.FractalBytes)
@@ -425,7 +425,7 @@ func planMaxPoolFwdExpansion(spec Spec, p isa.ConvParams, sp ScheduleParams) (*P
 	}
 	mteGather := sp.Gather == GatherMTE
 	b := newPlanner(name, spec, p)
-	core := b.core
+	mem := b.mem
 	pp := foldPadding(p)
 	oh, ow := pp.OutDims()
 	inRowB := pp.Iw * Block
@@ -435,7 +435,7 @@ func planMaxPoolFwdExpansion(spec Spec, p isa.ConvParams, sp ScheduleParams) (*P
 	if err != nil {
 		return nil, err
 	}
-	outGM, err := core.Mem.Space(isa.GM).Alloc(oh * outRowB)
+	outGM, err := mem.Space(isa.GM).Alloc(oh * outRowB)
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +443,7 @@ func planMaxPoolFwdExpansion(spec Spec, p isa.ConvParams, sp ScheduleParams) (*P
 	inRows := func(b int) int { return (b-1)*pp.Sh + pp.Kh }
 	// With the MTE gather the input band lives in L1, not the UB, so the
 	// UB requirement drops to the expansion and output areas.
-	band, buffers, err := resolveBand(name, pp, ubAvail(core), oh, sp, func(b, n int) int {
+	band, buffers, err := resolveBand(name, pp, ubAvail(mem), oh, sp, func(b, n int) int {
 		per := pp.Kh*pp.Kw*b*outRowB + b*outRowB
 		if !mteGather {
 			per += inRows(b) * inRowB
@@ -453,12 +453,12 @@ func planMaxPoolFwdExpansion(spec Spec, p isa.ConvParams, sp ScheduleParams) (*P
 	if err != nil {
 		return nil, err
 	}
-	ub := core.Mem.Space(isa.UB)
+	ub := mem.Space(isa.UB)
 	var inUB, expUB, outUB [2]int
 	if mteGather {
 		// Stage the input band in L1 and gather patches from there on the
 		// MTE1 pipe, keeping the Vector Unit free for the reduction.
-		l1 := core.Mem.Space(isa.L1)
+		l1 := mem.Space(isa.L1)
 		l1Band := maxBand(l1.Free(), band, func(b int) int { return buffers * inRows(b) * inRowB })
 		if l1Band == 0 {
 			return nil, badSchedule(name, "gather=mte needs an L1 row window for %d input rows, more than the %d bytes available",
@@ -575,7 +575,7 @@ func planMaxPoolFwdXYSplit(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Pla
 		return nil, err
 	}
 	b := newPlanner(name, spec, p)
-	core := b.core
+	mem := b.mem
 	pp := foldPadding(p)
 	oh, ow := pp.OutDims()
 	inRowB := pp.Iw * Block
@@ -585,19 +585,19 @@ func planMaxPoolFwdXYSplit(spec Spec, p isa.ConvParams, sp ScheduleParams) (*Pla
 	if err != nil {
 		return nil, err
 	}
-	outGM, err := core.Mem.Space(isa.GM).Alloc(oh * outRowB)
+	outGM, err := mem.Space(isa.GM).Alloc(oh * outRowB)
 	if err != nil {
 		return nil, err
 	}
 
 	inRows := func(b int) int { return (b-1)*pp.Sh + pp.Kh }
-	band, buffers, err := resolveBand(name, pp, ubAvail(core), oh, sp, func(b, n int) int {
+	band, buffers, err := resolveBand(name, pp, ubAvail(mem), oh, sp, func(b, n int) int {
 		return n * (inRows(b)*inRowB + inRows(b)*outRowB + b*outRowB)
 	})
 	if err != nil {
 		return nil, err
 	}
-	ub := core.Mem.Space(isa.UB)
+	ub := mem.Space(isa.UB)
 	var inUB, tmpUB, outUB [2]int
 	for i := 0; i < buffers; i++ {
 		inUB[i] = ub.MustAlloc(inRows(band) * inRowB)

@@ -21,7 +21,7 @@ import (
 	"errors"
 	"fmt"
 
-	"davinci/internal/aicore"
+	"davinci/internal/buffer"
 	"davinci/internal/fp16"
 	"davinci/internal/isa"
 	"davinci/internal/tensor"
@@ -81,8 +81,8 @@ func maxBand(avail, limit int, need func(int) int) int {
 }
 
 // ubAvail returns the allocatable UB bytes with headroom for alignment.
-func ubAvail(core *aicore.Core) int {
-	return core.Mem.Space(isa.UB).Free() - 8*Block
+func ubAvail(mem *buffer.Set) int {
+	return mem.Space(isa.UB).Free() - 8*Block
 }
 
 // ErrCapacity is wrapped by every compile error that means the tile does

@@ -3,7 +3,7 @@
 //
 // Compilation (a catalogue entry's lowering, kernels.go) runs the
 // kernel's scheduling logic — band sizing, buffer allocation, CCE
-// emission — against a scratch core built from a Spec, and produces a
+// emission — against a buffer layout built from a Spec, and produces a
 // Plan: an immutable, validated cce.Program plus the global-memory layout
 // it was emitted against. The program depends only on (kernel, ConvParams, buffer capacities), never on
 // tensor values, so one Plan can be replayed for every tile of a layer and
@@ -20,10 +20,8 @@ package ops
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"davinci/internal/aicore"
 	"davinci/internal/buffer"
@@ -234,25 +232,26 @@ func (pl *Plan) replay(core *aicore.Core) (*aicore.Stats, error) {
 	return &st, nil
 }
 
-// planner accumulates a plan during compilation. Its scratch core provides
-// the same allocation bookkeeping the kernels previously did against the
-// caller's core — but with no data placed, only layout.
+// planner accumulates a plan during compilation. Its layout set
+// (buffer.NewLayout) provides the allocation bookkeeping of a core sized
+// by the spec, with no memory behind it: a compile places no data, only
+// layout.
 type planner struct {
-	core *aicore.Core
-	pl   *Plan
+	mem *buffer.Set
+	pl  *Plan
 }
 
 func newPlanner(name string, spec Spec, p isa.ConvParams) *planner {
 	return &planner{
-		core: aicore.New(spec.Buffers, nil),
-		pl:   &Plan{Name: name, Params: p},
+		mem: buffer.NewLayout(spec.Buffers),
+		pl:  &Plan{Name: name, Params: p},
 	}
 }
 
 // input reserves a global-memory slot of n bytes for the next bound input
 // and returns its address.
 func (b *planner) input(n int) (int, error) {
-	addr, err := b.core.Mem.Space(isa.GM).Alloc(n)
+	addr, err := b.mem.Space(isa.GM).Alloc(n)
 	if err != nil {
 		return 0, err
 	}
@@ -288,7 +287,7 @@ func (b *planner) seal(prog *cce.Program, spec Spec) (*Plan, error) {
 	b.pl.Prog = prog
 	b.pl.flat = sync.OnceValue(func() *aicore.FlatProgram { return aicore.Flatten(prog) })
 	b.pl.Perf = perf.Analyze(prog, perf.Options{Caps: spec.Buffers.Capacities()})
-	b.pl.gmTop = b.core.Mem.Space(isa.GM).Used()
+	b.pl.gmTop = b.mem.Space(isa.GM).Used()
 	return b.pl, nil
 }
 
@@ -338,9 +337,6 @@ type cacheEntry struct {
 	once sync.Once
 	plan *Plan
 	err  error
-	// done publishes plan/err to readers that do not go through once.Do
-	// (PlanCache.Plans ranges concurrently with in-flight compiles).
-	done atomic.Bool
 }
 
 // NewPlanCache creates an empty cache with a private metrics registry.
@@ -363,27 +359,6 @@ func (c *PlanCache) Metrics() *obs.Registry { return c.metrics }
 // Stats returns a snapshot of the cache counters.
 func (c *PlanCache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Compiled: c.compiled.Load()}
-}
-
-// Plans returns every successfully compiled plan in the cache, sorted by
-// kernel name and layer parameters for deterministic reporting
-// (chip.Stats and cmd/davinci-bench surface their perf reports).
-func (c *PlanCache) Plans() []*Plan {
-	var plans []*Plan
-	c.entries.Range(func(_, v any) bool {
-		e := v.(*cacheEntry)
-		if e.done.Load() && e.err == nil {
-			plans = append(plans, e.plan)
-		}
-		return true
-	})
-	sort.Slice(plans, func(i, j int) bool {
-		if plans[i].Name != plans[j].Name {
-			return plans[i].Name < plans[j].Name
-		}
-		return fmt.Sprint(plans[i].Params) < fmt.Sprint(plans[j].Params)
-	})
-	return plans
 }
 
 // Get returns the plan for key, compiling it with compile on first use.
@@ -445,7 +420,6 @@ func (c *PlanCache) Get(tc trace.Ctx, key PlanKey, compile func(trace.Ctx) (*Pla
 			emitOptSpans(cs.Ctx(), e.plan)
 		}
 		cs.End()
-		e.done.Store(true)
 	})
 	return e.plan, e.err
 }

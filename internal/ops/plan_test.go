@@ -13,6 +13,7 @@ import (
 	"davinci/internal/ref"
 	"davinci/internal/tensor"
 	"davinci/internal/trace"
+	"davinci/internal/workloads"
 )
 
 // planCase is one catalogue kernel's cached-plan lookup with
@@ -309,6 +310,9 @@ func BenchmarkReplayTile(b *testing.B) {
 // sub-benchmarks time what a serving plan-cache miss costs: a strict
 // (linted) compile and the first tile's run, with allocations, for the
 // standard lowering (the largest programs to lint) and im2col.
+// strict-cold/tableI-pass times the plan work of one pass over every
+// Table I layer x {maxpool, avgpool} x {im2col, standard}: 52 plans, each
+// strictly compiled, flattened and timed, on one goroutine.
 func BenchmarkPlanCache(b *testing.B) {
 	p := isa.ConvParams{Ih: 147, Iw: 147, Kh: 3, Kw: 3, Sh: 2, Sw: 2}
 	in := randTile(42, p)
@@ -330,6 +334,21 @@ func BenchmarkPlanCache(b *testing.B) {
 		})
 	}
 
+	b.Run("strict-cold/tableI-pass", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, l := range workloads.TableI {
+				for _, kernel := range []string{"maxpool_fwd/im2col", "maxpool_fwd/standard", "avgpool_fwd/im2col", "avgpool_fwd/standard"} {
+					pl, err := Compile(kernel, Spec{Strict: true}, Dims{P: l.Params()})
+					if err != nil {
+						b.Fatal(err)
+					}
+					aicore.Flatten(pl.Prog)
+					aicore.Time(pl.Prog, nil, false)
+				}
+			}
+		}
+	})
 	b.Run("cold-compile", func(b *testing.B) {
 		core := newTestCore()
 		for i := 0; i < b.N; i++ {

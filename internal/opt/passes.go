@@ -56,21 +56,23 @@ func deadBarrier(prog *cce.Program, _ *isa.CostModel) (*cce.Program, int) {
 		reg   isa.Region
 	}
 	var barriers []int
-	var accs []access
 	for i, in := range prog.Instrs {
 		if _, ok := in.(*isa.BarrierInstr); ok {
 			barriers = append(barriers, i)
-			continue
-		}
-		for _, r := range in.Reads() {
-			accs = append(accs, access{i, in.Pipe(), false, r})
-		}
-		for _, w := range in.Writes() {
-			accs = append(accs, access{i, in.Pipe(), true, w})
 		}
 	}
 	if len(barriers) == 0 {
 		return nil, 0
+	}
+	var accs []access
+	for i, in := range prog.Instrs {
+		reads, writes := in.Reads(), in.Writes()
+		for k := range reads.Len() {
+			accs = append(accs, access{i, in.Pipe(), false, reads.At(k)})
+		}
+		for k := range writes.Len() {
+			accs = append(accs, access{i, in.Pipe(), true, writes.At(k)})
+		}
 	}
 	live := make(map[int]bool, len(barriers))
 	for i, a := range accs {
@@ -142,8 +144,10 @@ func deadMove(prog *cce.Program, _ *isa.CostModel) (*cce.Program, int) {
 		in := prog.Instrs[i]
 		if candidate(in) {
 			liveWrite := false
-		writes:
-			for _, w := range in.Writes() {
+			writes := in.Writes()
+		scan:
+			for k := range writes.Len() {
+				w := writes.At(k)
 				if w.Buf == isa.GM {
 					liveWrite = true
 					break
@@ -155,7 +159,7 @@ func deadMove(prog *cce.Program, _ *isa.CostModel) (*cce.Program, int) {
 				for _, r := range reads {
 					if w.Off < r.End && r.Off < w.End {
 						liveWrite = true
-						break writes
+						break scan
 					}
 				}
 			}
@@ -165,7 +169,9 @@ func deadMove(prog *cce.Program, _ *isa.CostModel) (*cce.Program, int) {
 				continue
 			}
 		}
-		for _, r := range in.Reads() {
+		reads := in.Reads()
+		for k := range reads.Len() {
+			r := reads.At(k)
 			future[r.Buf] = append(future[r.Buf], r)
 		}
 	}
@@ -256,7 +262,7 @@ func fuseCopy(a, b *isa.CopyInstr) (isa.CopyInstr, bool) {
 	// A same-buffer copy whose fused source span (gap bytes included)
 	// overlaps the fused destination span violates the lint copy-overlap
 	// invariant even when every original burst pair was disjoint.
-	if fused.SrcBuf == fused.DstBuf && fused.Reads()[0].Overlaps(fused.Writes()[0]) {
+	if fused.SrcBuf == fused.DstBuf && fused.Reads().At(0).Overlaps(fused.Writes().At(0)) {
 		return isa.CopyInstr{}, false
 	}
 	return fused, true

@@ -66,14 +66,11 @@ func equivalent(base, optimized *cce.Program, opts Options) string {
 	var foot [isa.NumBufs]int
 	grow := func(prog *cce.Program) {
 		for _, in := range prog.Instrs {
-			for _, r := range in.Reads() {
-				if r.End > foot[r.Buf] {
-					foot[r.Buf] = r.End
-				}
-			}
-			for _, w := range in.Writes() {
-				if w.End > foot[w.Buf] {
-					foot[w.Buf] = w.End
+			for _, rs := range [2]isa.Regions{in.Reads(), in.Writes()} {
+				for k := range rs.Len() {
+					if r := rs.At(k); r.End > foot[r.Buf] {
+						foot[r.Buf] = r.End
+					}
 				}
 			}
 		}
