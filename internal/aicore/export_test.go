@@ -92,18 +92,12 @@ func FullScanSchedule(prog *cce.Program, cost *isa.CostModel) []Placement {
 			for i := range reads.Len() {
 				r := reads.At(i)
 				bt := &b.bufs[r.Buf]
-				bt.reads = append(bt.reads, interval{r.Off, r.End, end, idx})
-				if len(bt.reads) > historyCap {
-					bt.reads = foldOldest(bt.reads, &bt.floorR)
-				}
+				bt.reads = appendAccess(bt.reads, interval{r.Off, r.End, end, idx}, &bt.lastR, &bt.floorR)
 			}
 			for i := range writes.Len() {
 				w := writes.At(i)
 				bt := &b.bufs[w.Buf]
-				bt.writes = append(bt.writes, interval{w.Off, w.End, end, idx})
-				if len(bt.writes) > historyCap {
-					bt.writes = foldOldest(bt.writes, &bt.floorW)
-				}
+				bt.writes = appendAccess(bt.writes, interval{w.Off, w.End, end, idx}, &bt.lastW, &bt.floorW)
 			}
 		}
 		b.cycles = max(b.cycles, end)

@@ -119,3 +119,37 @@ func TestZeroAndFillRange(t *testing.T) {
 		t.Errorf("ZeroRange left %#04x", got)
 	}
 }
+
+// TestLayoutTracksWithoutMemory: a layout hands out the addresses a
+// backed set of the same config would, grows global memory the same way,
+// and holds no memory, so a data access through it panics.
+func TestLayoutTracksWithoutMemory(t *testing.T) {
+	cfg := Config{GMSize: 1024}
+	layout, set := NewLayout(cfg), NewSet(cfg)
+	for _, n := range []int{10, 100, 4096} {
+		for _, id := range []isa.BufID{isa.GM, isa.UB} {
+			a, errA := layout.Space(id).Alloc(n)
+			b, errB := set.Space(id).Alloc(n)
+			if a != b || (errA == nil) != (errB == nil) {
+				t.Fatalf("%v alloc %d: layout %d, %v; set %d, %v", id, n, a, errA, b, errB)
+			}
+		}
+	}
+	if got, want := layout.Space(isa.GM).Size(), set.Space(isa.GM).Size(); got != want {
+		t.Errorf("layout GM size %d, set %d", got, want)
+	}
+	if layout.Capacities() != set.Capacities() {
+		t.Errorf("capacities differ: %v vs %v", layout.Capacities(), set.Capacities())
+	}
+	for id := isa.BufID(0); id < isa.NumBufs; id++ {
+		if layout.Mem(id) != nil {
+			t.Errorf("layout %v has a backing store", id)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("reading a tensor out of a layout did not panic")
+		}
+	}()
+	layout.ReadTensor(isa.GM, 0, 1, 4)
+}

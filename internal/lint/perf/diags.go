@@ -157,7 +157,8 @@ type access struct {
 // pair: removing such a barrier cannot change any outcome the scoreboard
 // (or a flag protocol) would not already guarantee, so it only costs
 // cycles. The scan is quadratic in the access count and skipped for very
-// large programs.
+// large programs; a program without a barrier returns before collecting
+// any access.
 func deadBarriers(prog *cce.Program) []lint.Diagnostic {
 	if len(prog.Instrs) > deadBarrierScanLimit {
 		return nil
